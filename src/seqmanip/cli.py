@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +30,7 @@ from .model import (
     parse_instance,
     serialize_instance,
 )
-from .oracle import BudgetExceeded, choice_tree_best, dominated_greedy_best
+from .oracle import BudgetExceeded, Solution, choice_tree_best, dominated_greedy_best
 from .responses import allocation_response, approximation_report, truthful_response
 
 EXIT_OK = 0
@@ -66,7 +67,7 @@ def _decimal(value: Fraction, places: int = 6) -> str:
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
 
 
-def _solution_payload(inst: Instance, solution) -> dict:
+def _solution_payload(inst: Instance, solution: Solution) -> dict:
     return {
         "bundle": _ordered_bundle(inst, solution.bundle.items),
         "utility": str(solution.utility),
@@ -113,14 +114,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     seq, strategy = greedy_alg(inst)
     bundle = manipulator_bundle(inst, seq)
-    _emit(
-        {
-            "bundle": _ordered_bundle(inst, bundle.items),
-            "utility": str(bundle.total_utility),
-            "strategy": list(strategy),
-            "sequence": _sequence_payload(seq),
-        }
-    )
+    _emit(_solution_payload(inst, Solution(strategy, seq, bundle, bundle.total_utility)))
     return EXIT_OK
 
 
@@ -233,14 +227,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = sweeps.bench_many(params, workers=args.workers)
     rendered = [
         {
-            "seed": row.seed,
-            "n": row.n,
-            "m": row.m,
-            "k1": row.k1,
+            **asdict(row),
             "utility_opt": str(row.utility_opt),
             "utility_truthful": str(row.utility_truthful),
             "ratio": None if row.ratio is None else str(row.ratio),
-            "dp_states": row.dp_states,
             "dp_millis": round(row.dp_millis, 3),
         }
         for row in rows

@@ -9,8 +9,9 @@ partial trace whose turn order is dominated by the instance's policy, and
 the best completion over the final stage is the exact optimum.
 
 The table is sparse: only reachable states are materialised.  Entries store
-utility and a backpointer; allocated item sets are carried stage-to-stage
-during construction and can be rebuilt later by replaying backpointers.
+utility and a backpointer; allocated item sets are bitmasks over the
+instance's integer view, carried stage-to-stage during construction and
+rebuilt later by replaying backpointers through the same stage step.
 """
 
 from __future__ import annotations
@@ -37,13 +38,24 @@ class DPEntry(NamedTuple):
     q: int
     pred_rank: int
 
-    @property
-    def is_base(self) -> bool:
-        return self.pred is None
-
 
 def _tie_key(entry: DPEntry) -> tuple:
     return entry.q, entry.pred_rank, entry.pred
+
+
+def _stage_tops(inst: Instance, agent: int, mask: int, count: int) -> list[int]:
+    """The stage step: the first ``count`` items of ``agent``'s ranking
+    outside ``mask``, as item indices.  A segment with ``q`` manipulator
+    turns gives the manipulator the first ``q`` of them and the stage agent
+    the next one."""
+    first_free = inst.view.first_free
+    pref = inst.view.prefs[agent]
+    tops: list[int] = []
+    pos = -1
+    for _ in range(count):
+        pos = first_free(pref, mask, pos + 1)
+        tops.append(pref[pos])
+    return tops
 
 
 def _build(
@@ -55,12 +67,8 @@ def _build(
     core = dec.core
     n = inst.n_agents
     m = inst.m
-    index = {item: i for i, item in enumerate(inst.items)}
-    utility = [inst.utility[item] for item in inst.items]
-    prefs = {
-        agent: [index[item] for item in ranking]
-        for agent, ranking in inst.rankings.items()
-    }
+    view = inst.view
+    utility = view.utility
     base = DPState(0, 0, (0,) * (n - 1))
     table: dict[DPState, DPEntry] = {base: DPEntry(Fraction(0), None, 0, 0)}
     masks: dict[DPState, int] = {base: 0}
@@ -68,7 +76,7 @@ def _build(
         stage_agent = core[x - 1]
         coord = stage_agent - 2
         k_x = dec.k_prefix[x]
-        pref = prefs[stage_agent]
+        rank = view.rank[stage_agent]
         new_masks: dict[DPState, int] = {}
         for pred_state, pred_mask in masks.items():
             pred_entry = table[pred_state]
@@ -77,20 +85,13 @@ def _build(
             q_max = min(k_x - y0, remaining - 1)
             if q_max < 0:
                 continue
-            tops: list[int] = []
-            for i in pref:
-                if not pred_mask & (1 << i):
-                    tops.append(i)
-                    if len(tops) > q_max:
-                        break
+            tops = _stage_tops(inst, stage_agent, pred_mask, q_max + 1)
+            last = pred_state.last_rank
             taken_util = Fraction(0)
             taken_mask = 0
-            for q in range(q_max + 1):
-                received = tops[q]
-                new_rank = pref.index(received) + 1
-                last = pred_state.last_rank
+            for q, received in enumerate(tops):
                 state = DPState(
-                    x, y0 + q, last[:coord] + (new_rank,) + last[coord + 1 :]
+                    x, y0 + q, last[:coord] + (rank[received] + 1,) + last[coord + 1 :]
                 )
                 cand = DPEntry(
                     pred_entry.utility + taken_util,
@@ -101,7 +102,7 @@ def _build(
                 incumbent = table.get(state)
                 if check_invariance and incumbent is not None:
                     cand_seq = replay_state(inst, table, pred_state) + _segment_steps(
-                        inst, stage_agent, tops, q
+                        inst, stage_agent, tops[: q + 1]
                     )
                     stored_seq = replay_state(inst, table, state)
                     if not engine.invariance_related(cand_seq, stored_seq):
@@ -119,19 +120,17 @@ def _build(
                 ):
                     table[state] = cand
                     new_masks[state] = pred_mask | taken_mask | (1 << received)
-                elif state not in new_masks:
-                    new_masks[state] = pred_mask | taken_mask | (1 << received)
                 taken_util += utility[received]
                 taken_mask |= 1 << received
         masks = new_masks
     return table, masks
 
 
-def _segment_steps(
-    inst: Instance, stage_agent: int, tops: list[int], q: int
-) -> AllocationSequence:
-    steps: list[Step] = [(inst.items[i], MANIPULATOR) for i in tops[:q]]
-    steps.append((inst.items[tops[q]], stage_agent))
+def _segment_steps(inst: Instance, stage_agent: int, tops: list[int]) -> AllocationSequence:
+    """A segment's trace: the manipulator takes all of ``tops`` but the last
+    item, which goes to the stage agent."""
+    steps: list[Step] = [(inst.items[i], MANIPULATOR) for i in tops[:-1]]
+    steps.append((inst.items[tops[-1]], stage_agent))
     return tuple(steps)
 
 
@@ -152,36 +151,19 @@ def replay_state(
 ) -> AllocationSequence:
     """Reconstruct the stored partial trace realising ``state``."""
     chain: list[DPState] = []
-    cursor = state
-    while True:
-        entry = table[cursor]
-        if entry.pred is None:
-            break
-        chain.append(cursor)
-        cursor = entry.pred
+    while table[state].pred is not None:
+        chain.append(state)
+        state = table[state].pred
     chain.reverse()
     core = decompose(inst.policy).core
-    index = {item: i for i, item in enumerate(inst.items)}
-    prefs = {
-        agent: [index[item] for item in ranking]
-        for agent, ranking in inst.rankings.items()
-    }
     mask = 0
     steps: list[Step] = []
     for node in chain:
-        entry = table[node]
         stage_agent = core[node.x - 1]
-        tops: list[int] = []
-        for i in prefs[stage_agent]:
-            if not mask & (1 << i):
-                tops.append(i)
-                if len(tops) > entry.q:
-                    break
-        for i in tops[: entry.q]:
-            steps.append((inst.items[i], MANIPULATOR))
+        tops = _stage_tops(inst, stage_agent, mask, table[node].q + 1)
+        steps.extend(_segment_steps(inst, stage_agent, tops))
+        for i in tops:
             mask |= 1 << i
-        steps.append((inst.items[tops[entry.q]], stage_agent))
-        mask |= 1 << tops[entry.q]
     return tuple(steps)
 
 
@@ -190,25 +172,22 @@ def best_response_with_table(
 ) -> tuple[Solution, dict[DPState, DPEntry]]:
     """Solve best response and also return the table (for stats or dumps)."""
     table, final_masks = _build(inst)
-    index = {item: i for i, item in enumerate(inst.items)}
-    pref1 = [index[item] for item in inst.manipulator_ranking]
-    utility = [inst.utility[item] for item in inst.items]
-    best_state: DPState | None = None
-    best_total: Fraction | None = None
-    best_extension: list[int] | None = None
-    for state, mask in final_masks.items():
-        entry = table[state]
-        extension = [i for i in pref1 if not mask & (1 << i)]
-        total = entry.utility + sum((utility[i] for i in extension), Fraction(0))
-        if (
-            best_total is None
-            or total > best_total
-            or (total == best_total and state < best_state)
-        ):
-            best_state, best_total, best_extension = state, total, extension
-    assert best_state is not None and best_extension is not None
+    pref1 = inst.view.prefs[MANIPULATOR]
+    utility = inst.view.utility
+
+    def completion(mask: int) -> list[int]:
+        """The manipulator's picks after the last segment: every item left."""
+        return [i for i in pref1 if not mask >> i & 1]
+
+    totals = {
+        state: table[state].utility + sum((utility[i] for i in completion(mask)), Fraction(0))
+        for state, mask in final_masks.items()
+    }
+    # the best total; among equal totals the smallest state
+    best_state = min(totals, key=lambda state: (-totals[state], state))
+    best_total = totals[best_state]
     seq = replay_state(inst, table, best_state) + tuple(
-        (inst.items[i], MANIPULATOR) for i in best_extension
+        (inst.items[i], MANIPULATOR) for i in completion(final_masks[best_state])
     )
     strategy = engine.strategy_from_sequence(inst, seq)
     bundle = engine.manipulator_bundle(inst, seq)

@@ -42,11 +42,6 @@ def manipulator_bundle(inst: Instance, seq: Sequence[Step]) -> Bundle:
     return Bundle(items, sum((inst.utility[i] for i in items), Fraction(0)))
 
 
-def _require_permutation(inst: Instance, strategy: Sequence[Item]) -> None:
-    if len(strategy) != inst.m or set(strategy) != set(inst.items):
-        raise ValueError("picking strategy must be a permutation of the item set")
-
-
 def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
     """Run the allocation mechanism under the manipulator's ``strategy``.
 
@@ -54,25 +49,21 @@ def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
     its truthful ranking; manipulator turns take the earliest remaining item
     of ``strategy``.  Pure function of its arguments.
     """
-    _require_permutation(inst, strategy)
-    allocated: set[Item] = set()
-    cursors = {agent: 0 for agent in range(1, inst.n_agents + 1)}
-    strategy_cursor = 0
+    if len(strategy) != inst.m or set(strategy) != set(inst.items):
+        raise ValueError("picking strategy must be a permutation of the item set")
+    view = inst.view
+    first_free = view.first_free
+    # The manipulator picks along its strategy as the others do along their rankings.
+    prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
+    cursors = dict.fromkeys(prefs, 0)
+    mask = 0
     steps: list[Step] = []
     for agent in inst.policy:
-        if agent == MANIPULATOR:
-            while strategy[strategy_cursor] in allocated:
-                strategy_cursor += 1
-            item = strategy[strategy_cursor]
-        else:
-            ranking = inst.rankings[agent]
-            cur = cursors[agent]
-            while ranking[cur] in allocated:
-                cur += 1
-            cursors[agent] = cur
-            item = ranking[cur]
-        allocated.add(item)
-        steps.append((item, agent))
+        pref = prefs[agent]
+        cursors[agent] = cur = first_free(pref, mask, cursors[agent])
+        i = pref[cur]
+        mask |= 1 << i
+        steps.append((inst.items[i], agent))
     return tuple(steps)
 
 
@@ -80,17 +71,15 @@ def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
     """Feasibility of a (partial) trace against its own recorded turn order:
     known items, no duplicates, and every non-manipulator step takes that
     agent's most preferred remaining item."""
-    known = set(inst.items)
-    allocated: set[Item] = set()
+    view = inst.view
+    mask = 0
     for item, agent in seq:
-        if item in allocated or item not in known:
+        i = view.index.get(item)
+        if i is None or mask >> i & 1:
             return False
-        if agent != MANIPULATOR:
-            ranking = inst.rankings[agent]
-            top = next(x for x in ranking if x not in allocated)
-            if top != item:
-                return False
-        allocated.add(item)
+        if agent != MANIPULATOR and view.top(agent, mask) != i:
+            return False
+        mask |= 1 << i
     return True
 
 
@@ -147,8 +136,21 @@ def considered_before(
             last = it
     if last is None:
         return False
-    ranking = inst.rankings[agent]
-    return ranking.index(last) > ranking.index(item)
+    rank, index = inst.view.rank[agent], inst.view.index
+    return rank[index[last]] > rank[index[item]]
+
+
+def _greedy_choosers(turns: Sequence[Agent]) -> list[Agent]:
+    """Whose ranking each turn takes from under greedy play: the first
+    non-manipulator at or after the turn, or the manipulator once none is
+    left."""
+    choosers = list(turns)
+    following = MANIPULATOR
+    for t in range(len(turns) - 1, -1, -1):
+        if turns[t] != MANIPULATOR:
+            following = turns[t]
+        choosers[t] = following
+    return choosers
 
 
 def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
@@ -161,19 +163,13 @@ def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
     """
     if not trace_feasible(inst, seq):
         raise ValueError("greediness is only defined for feasible traces")
-    agents = [a for _, a in seq]
-    next_watcher: list[Agent | None] = [None] * (len(seq) + 1)
-    for t in range(len(seq) - 1, -1, -1):
-        next_watcher[t] = agents[t] if agents[t] != MANIPULATOR else next_watcher[t + 1]
-    allocated: set[Item] = set()
-    for t, (item, agent) in enumerate(seq):
-        if agent == MANIPULATOR:
-            watcher = next_watcher[t + 1]
-            ranking = inst.rankings[watcher if watcher is not None else MANIPULATOR]
-            top = next(x for x in ranking if x not in allocated)
-            if item != top:
-                return False
-        allocated.add(item)
+    view = inst.view
+    mask = 0
+    for (item, _agent), who in zip(seq, _greedy_choosers([agent for _, agent in seq])):
+        i = view.index[item]
+        if i != view.top(who, mask):
+            return False
+        mask |= 1 << i
     return True
 
 

@@ -9,8 +9,8 @@ the dynamic program.
 
 from __future__ import annotations
 
-from .engine import AllocationSequence, PickingStrategy, Step
-from .model import MANIPULATOR, Agent, Instance, Item
+from .engine import AllocationSequence, PickingStrategy, Step, _greedy_choosers, strategy_from_sequence
+from .model import Instance
 
 
 def greedy_alg(inst: Instance) -> tuple[AllocationSequence, PickingStrategy]:
@@ -24,34 +24,14 @@ def greedy_alg(inst: Instance) -> tuple[AllocationSequence, PickingStrategy]:
     >>> [item for item, agent in trace if agent == 1]
     ['g2', 'g1']
     """
-    policy = inst.policy
-    m = inst.m
-    # next_watcher[t]: first non-manipulator at or after turn t
-    next_watcher: list[Agent | None] = [None] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        next_watcher[t] = policy[t] if policy[t] != MANIPULATOR else next_watcher[t + 1]
-    allocated: set[Item] = set()
-    cursors = {agent: 0 for agent in range(1, inst.n_agents + 1)}
-
-    def top_remaining(agent: Agent) -> Item:
-        ranking = inst.rankings[agent]
-        cur = cursors[agent]
-        while ranking[cur] in allocated:
-            cur += 1
-        cursors[agent] = cur
-        return ranking[cur]
-
+    prefs, first_free = inst.view.prefs, inst.view.first_free
+    cursors = dict.fromkeys(prefs, 0)
+    mask = 0
     steps: list[Step] = []
-    picks: list[Item] = []
-    for t, agent in enumerate(policy):
-        if agent == MANIPULATOR:
-            watcher = next_watcher[t + 1]
-            item = top_remaining(watcher if watcher is not None else MANIPULATOR)
-            picks.append(item)
-        else:
-            item = top_remaining(agent)
-        allocated.add(item)
-        steps.append((item, agent))
-    picked = set(picks)
-    rest = [item for item in inst.manipulator_ranking if item not in picked]
-    return tuple(steps), tuple(picks + rest)
+    for agent, who in zip(inst.policy, _greedy_choosers(inst.policy)):
+        pref = prefs[who]
+        cursors[who] = cur = first_free(pref, mask, cursors[who])
+        mask |= 1 << pref[cur]
+        steps.append((inst.items[pref[cur]], agent))
+    seq = tuple(steps)
+    return seq, strategy_from_sequence(inst, seq)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Item = str
 Agent = int
@@ -19,6 +21,9 @@ Agent = int
 MANIPULATOR: Agent = 1
 
 _DOCUMENT_KEYS = {"items", "agents", "policy", "rankings", "utilities"}
+
+# Utility strings: a decimal integer or "p/q"; no decimal points or exponents.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class InstanceError(ValueError):
@@ -28,6 +33,34 @@ class InstanceError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+class _IntegerView(NamedTuple):
+    """Items numbered by their position in ``Instance.items``.
+
+    ``prefs[agent]`` is the agent's ranking as item indices, ``rank[agent][i]``
+    the position of item ``i`` in that ranking, and ``utility[i]`` the
+    manipulator's exact utility for item ``i``.  An allocated set is a bitmask
+    over item indices.
+    """
+
+    index: dict[Item, int]
+    prefs: dict[Agent, tuple[int, ...]]
+    rank: dict[Agent, tuple[int, ...]]
+    utility: tuple[Fraction, ...]
+
+    @staticmethod
+    def first_free(pref: Sequence[int], mask: int, start: int = 0) -> int:
+        """Position of the first item index in ``pref``, at or after
+        ``start``, that is not in ``mask``; the caller guarantees one exists."""
+        while mask >> pref[start] & 1:
+            start += 1
+        return start
+
+    def top(self, agent: Agent, mask: int) -> int:
+        """Index of ``agent``'s most preferred item not in ``mask``."""
+        pref = self.prefs[agent]
+        return pref[self.first_free(pref, mask)]
 
 
 @dataclass(frozen=True, eq=True)
@@ -69,12 +102,47 @@ class Instance:
     def manipulator_ranking(self) -> tuple[Item, ...]:
         return self.rankings[MANIPULATOR]
 
+    @cached_property
+    def view(self) -> _IntegerView:
+        """The integer view every solver works on, built once per instance."""
+        index = {item: i for i, item in enumerate(self.items)}
+        prefs = {agent: tuple(index[item] for item in ranking) for agent, ranking in self.rankings.items()}
+        rank = {}
+        for agent, pref in prefs.items():
+            inverse = [0] * len(pref)
+            for pos, i in enumerate(pref):
+                inverse[i] = pos
+            rank[agent] = tuple(inverse)
+        utility = tuple(self.utility[item] for item in self.items)
+        return _IntegerView(index, prefs, rank, utility)
+
     def with_policy(self, policy: Iterable[Agent]) -> "Instance":
-        """A copy of this instance under a different policy (revalidated)."""
-        return replace(self, policy=tuple(policy))
+        """A copy of this instance under a different policy (revalidated).
+
+        Rankings and utilities are unchanged, so the copy shares this
+        instance's integer view.
+        """
+        variant = replace(self, policy=tuple(policy))
+        variant.__dict__["view"] = self.view
+        return variant
+
+
+def _rational(item: Item, raw: object) -> Fraction:
+    """An exact utility from a Fraction, an int (not a bool), or a string
+    holding an integer or "p/q"; floats are rejected, never converted."""
+    if not (isinstance(raw, Fraction) or type(raw) is int or (isinstance(raw, str) and _RATIONAL.fullmatch(raw))):
+        raise InstanceError(f"utilities.{item}", f"expected an integer or a 'p/q' string, got {raw!r}")
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(f"utilities.{item}", f"unparseable rational {raw!r}") from exc
 
 
 def _validate(inst: Instance) -> None:
+    # Counts and agents are exact ints: ``type(...) is int`` also rejects
+    # ``bool``, which is a subclass of ``int``.
+    if type(inst.n_agents) is not int:
+        raise InstanceError("agents", "must be an integer")
     if inst.n_agents < 1:
         raise InstanceError("agents", "need at least one agent")
     item_set = set(inst.items)
@@ -89,7 +157,7 @@ def _validate(inst: Instance) -> None:
             f"length {len(inst.policy)} does not match item count {len(inst.items)}",
         )
     for pos, agent in enumerate(inst.policy):
-        if not isinstance(agent, int) or not 1 <= agent <= inst.n_agents:
+        if type(agent) is not int or not 1 <= agent <= inst.n_agents:
             raise InstanceError(f"policy[{pos}]", f"agent index {agent!r} out of range 1..{inst.n_agents}")
     expected_agents = set(range(1, inst.n_agents + 1))
     if set(inst.rankings) != expected_agents:
@@ -124,18 +192,15 @@ def make_instance(
     """Canonicalise raw fields into a validated :class:`Instance`.
 
     Items are stored sorted, rankings as tuples, and utility values are
-    coerced to :class:`fractions.Fraction` (ints and "p/q" strings accepted).
+    converted to :class:`fractions.Fraction` (Fractions, integers and
+    integer or "p/q" strings accepted; floats and booleans rejected).
     """
-    try:
-        coerced = {item: Fraction(v) for item, v in utility.items()}
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InstanceError("utilities", f"unparseable rational: {exc}") from exc
     return Instance(
         items=tuple(sorted(items)),
         n_agents=n_agents,
         policy=tuple(policy),
         rankings={int(agent): tuple(r) for agent, r in rankings.items()},
-        utility=coerced,
+        utility={item: _rational(item, v) for item, v in utility.items()},
     )
 
 
@@ -169,8 +234,6 @@ def parse_instance(text: str) -> Instance:
     items = doc["items"]
     if not isinstance(items, list):
         raise InstanceError("items", "must be a list of item identifiers")
-    if not isinstance(doc["agents"], int):
-        raise InstanceError("agents", "must be an integer")
     if not isinstance(doc["policy"], list):
         raise InstanceError("policy", "must be a list of agent indices")
     if not isinstance(doc["rankings"], dict):
@@ -185,14 +248,10 @@ def parse_instance(text: str) -> Instance:
             raise InstanceError(f"rankings.{key}", "agent keys must be integers") from exc
         if not isinstance(ranking, list):
             raise InstanceError(f"rankings.{key}", "ranking must be a list of items")
+        if agent in rankings:
+            raise InstanceError(f"rankings.{key}", f"duplicate key for agent {agent}")
         rankings[agent] = ranking
-    utilities: dict[Item, Fraction] = {}
-    for item, raw in doc["utilities"].items():
-        try:
-            utilities[item] = Fraction(raw)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise InstanceError(f"utilities.{item}", f"unparseable rational {raw!r}") from exc
-    return make_instance(items, doc["agents"], doc["policy"], rankings, utilities)
+    return make_instance(items, doc["agents"], doc["policy"], rankings, doc["utilities"])
 
 
 def serialize_instance(inst: Instance) -> str:

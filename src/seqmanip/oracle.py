@@ -3,15 +3,19 @@
 Two independent exact methods: an exhaustive choice tree over manipulator
 picks, and greedy runs over every dominated policy.  Either one pins down
 the manipulator's optimal utility; agreeing with each other and with the
-dynamic program is the core cross-validation of this package.
+dynamic program is the core cross-validation of this package.  The searches
+work on the instance's integer view: allocated sets are bitmasks over item
+indices.  Their recursion is one level per turn, so instances too long for
+the interpreter's recursion limit raise :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator
 
 from . import engine
 from .engine import AllocationSequence, Bundle, PickingStrategy
@@ -27,6 +31,26 @@ BUDGET_ENV_VAR = "SEQMANIP_BUDGET"
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive search outgrew its configured budget."""
+
+
+# Frames kept free below the recursion limit for the calls a search level
+# makes besides its own recursion (Fraction arithmetic, sorting).
+_FRAME_MARGIN = 50
+
+
+def _require_headroom(depth: int) -> None:
+    """Raise :class:`BudgetExceeded` unless ``depth`` more nested search
+    levels fit under the interpreter's recursion limit."""
+    used = 0
+    frame = sys._getframe()
+    while frame is not None:
+        used += 1
+        frame = frame.f_back
+    if used + depth + _FRAME_MARGIN > sys.getrecursionlimit():
+        raise BudgetExceeded(
+            f"search depth {depth} exceeds the interpreter's recursion headroom "
+            f"({sys.getrecursionlimit() - used - _FRAME_MARGIN} levels)"
+        )
 
 
 def _resolve_budget(value: int | None, default: int) -> int:
@@ -68,24 +92,20 @@ def choice_tree_best(inst: Instance, node_budget: int | None = None) -> Solution
     result independent of exploration order.
     """
     budget = _resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
+    _require_headroom(inst.m)
     m = inst.m
-    ranking1 = inst.manipulator_ranking
-    rank1 = {item: r for r, item in enumerate(ranking1)}
-    index = {item: i for i, item in enumerate(inst.items)}
-    utility = [inst.utility[item] for item in inst.items]
-    prefs = {
-        agent: [index[item] for item in ranking]
-        for agent, ranking in inst.rankings.items()
-    }
-    rank1_by_index = [rank1[item] for item in inst.items]
+    view = inst.view
+    utility = view.utility
+    rank1 = view.rank[MANIPULATOR]
     policy = inst.policy
-    memo: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+    # mask -> (utility, sorted manipulator ranks of the bundle, item picked)
+    memo: dict[int, tuple[Fraction, tuple[int, ...], int]] = {}
     nodes = 0
 
-    def solve(mask: int, pos: int) -> tuple[Fraction, tuple[int, ...]]:
+    def solve(mask: int, pos: int) -> tuple[Fraction, tuple[int, ...], int]:
         nonlocal nodes
         if pos == m:
-            return Fraction(0), ()
+            return Fraction(0), (), -1
         cached = memo.get(mask)
         if cached is not None:
             return cached
@@ -96,56 +116,53 @@ def choice_tree_best(inst: Instance, node_budget: int | None = None) -> Solution
             )
         agent = policy[pos]
         if agent != MANIPULATOR:
-            pick = next(i for i in prefs[agent] if not mask & (1 << i))
-            result = solve(mask | (1 << pick), pos + 1)
+            pick = view.top(agent, mask)
+            sub_util, sub_bundle, _ = solve(mask | (1 << pick), pos + 1)
+            result = (sub_util, sub_bundle, pick)
         else:
-            best: tuple[Fraction, tuple[int, ...]] | None = None
+            best: tuple[Fraction, tuple[int, ...], int] | None = None
             for i in range(m):
                 bit = 1 << i
                 if mask & bit:
                     continue
-                sub_util, sub_bundle = solve(mask | bit, pos + 1)
+                sub_util, sub_bundle, _ = solve(mask | bit, pos + 1)
                 cand_util = utility[i] + sub_util
-                cand_bundle = tuple(sorted(sub_bundle + (rank1_by_index[i],)))
+                cand_bundle = tuple(sorted(sub_bundle + (rank1[i],)))
                 if (
                     best is None
                     or cand_util > best[0]
                     or (cand_util == best[0] and cand_bundle < best[1])
                 ):
-                    best = (cand_util, cand_bundle)
+                    best = (cand_util, cand_bundle, i)
             assert best is not None
             result = best
         memo[mask] = result
         return result
 
-    best_util, best_ranks = solve(0, 0)
-    # Rebuild the chosen trace by walking the memoised tree again.
+    best_util, best_ranks, _ = solve(0, 0)
+    # Rebuild the chosen trace by following the memoised picks.
     steps = []
     mask = 0
-    target = set(best_ranks)
-    for pos, agent in enumerate(policy):
-        if agent != MANIPULATOR:
-            pick = next(i for i in prefs[agent] if not mask & (1 << i))
-        else:
-            pick = None
-            chosen: tuple[Fraction, tuple[int, ...]] | None = None
-            for i in range(m):
-                bit = 1 << i
-                if mask & bit:
-                    continue
-                sub_util, sub_bundle = solve(mask | bit, pos + 1)
-                cand = (utility[i] + sub_util, tuple(sorted(sub_bundle + (rank1_by_index[i],))))
-                if chosen is None or cand[0] > chosen[0] or (cand[0] == chosen[0] and cand[1] < chosen[1]):
-                    chosen = cand
-                    pick = i
-            assert pick is not None
+    for agent in policy:
+        pick = memo[mask][2]
         steps.append((inst.items[pick], agent))
         mask |= 1 << pick
     seq = tuple(steps)
     solution = _solution_from_strategy(inst, engine.strategy_from_sequence(inst, seq))
-    if solution.utility != best_util or {rank1[i] for i in solution.bundle.items} != target:
+    bundle_ranks = {rank1[view.index[item]] for item in solution.bundle.items}
+    if solution.utility != best_util or bundle_ranks != set(best_ranks):
         raise RuntimeError("internal error: rebuilt trace does not match the memoised optimum")
     return solution
+
+
+def _dominated_within_budget(inst: Instance, policy_budget: int | None) -> Iterator[Policy]:
+    """The policies dominated by the instance's own, in enumeration order;
+    raises :class:`BudgetExceeded` past the policy budget."""
+    budget = _resolve_budget(policy_budget, DEFAULT_POLICY_BUDGET)
+    for count, pol in enumerate(enumerate_dominated(inst.policy), start=1):
+        if count > budget:
+            raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
+        yield pol
 
 
 def dominated_greedy_best(
@@ -157,17 +174,10 @@ def dominated_greedy_best(
     dominated policy achieving it (the certificate policy); ties break by
     enumeration order, i.e. the lexicographically first position vector.
     """
-    budget = _resolve_budget(policy_budget, DEFAULT_POLICY_BUDGET)
     best_util: Fraction | None = None
     best_strategy: PickingStrategy | None = None
     best_policy: Policy | None = None
-    count = 0
-    for pol in enumerate_dominated(inst.policy):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(
-                f"dominated-policy enumeration exceeded {budget} policies"
-            )
+    for pol in _dominated_within_budget(inst, policy_budget):
         variant = inst.with_policy(pol)
         seq, strategy = greedy_alg(variant)
         util = engine.manipulator_bundle(variant, seq).total_utility
@@ -192,13 +202,8 @@ def is_crucial(
 
     Vacuously true when the policy has no strict dominatee.
     """
-    budget = _resolve_budget(policy_budget, DEFAULT_POLICY_BUDGET)
     own = choice_tree_best(inst, node_budget=node_budget).utility
-    count = 0
-    for pol in enumerate_dominated(inst.policy):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
+    for pol in _dominated_within_budget(inst, policy_budget):
         if pol == inst.policy:
             continue
         other = choice_tree_best(inst.with_policy(pol), node_budget=node_budget).utility
@@ -217,12 +222,9 @@ def achievable_bundles_exact(inst: Instance, target: frozenset) -> bool:
     """
     if len(target) != inst.k1:
         return False
-    index = {item: i for i, item in enumerate(inst.items)}
-    prefs = {
-        agent: [index[item] for item in ranking]
-        for agent, ranking in inst.rankings.items()
-    }
-    target_idx = [index[item] for item in sorted(target)]
+    _require_headroom(inst.m)
+    view = inst.view
+    target_idx = [view.index[item] for item in sorted(target)]
     policy = inst.policy
     m = inst.m
     seen: set[int] = set()
@@ -234,8 +236,7 @@ def achievable_bundles_exact(inst: Instance, target: frozenset) -> bool:
             return False
         agent = policy[pos]
         if agent != MANIPULATOR:
-            pick = next(i for i in prefs[agent] if not mask & (1 << i))
-            if search(mask | (1 << pick), pos + 1):
+            if search(mask | (1 << view.top(agent, mask)), pos + 1):
                 return True
         else:
             for i in target_idx:

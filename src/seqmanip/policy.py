@@ -44,17 +44,6 @@ class PolicyDecomposition:
     def m_prime(self) -> int:
         return len(self.core)
 
-    @property
-    def trivial_segment(self) -> tuple[Agent, ...]:
-        return self.segments[-1]
-
-    def prefix_segments(self, x: int) -> Policy:
-        """Concatenation of the first ``x`` segments."""
-        out: list[Agent] = []
-        for seg in self.segments[:x]:
-            out.extend(seg)
-        return tuple(out)
-
 
 def decompose(policy: Sequence[Agent]) -> PolicyDecomposition:
     """Split ``policy`` into segments and derive core, positions and k(x)."""
@@ -82,16 +71,6 @@ def decompose(policy: Sequence[Agent]) -> PolicyDecomposition:
     )
 
 
-def core_of(policy: Sequence[Agent]) -> tuple[Agent, ...]:
-    """The policy with all manipulator turns deleted."""
-    return tuple(a for a in policy if a != MANIPULATOR)
-
-
-def position_vector(policy: Sequence[Agent]) -> tuple[int, ...]:
-    """1-based positions of the manipulator in the policy, increasing."""
-    return tuple(pos for pos, a in enumerate(policy, start=1) if a == MANIPULATOR)
-
-
 def dominates(p1: Sequence[Agent], p2: Sequence[Agent]) -> bool:
     """True iff both policies share length and core and every manipulator
     turn in ``p1`` is no later than the matching turn in ``p2``.
@@ -103,9 +82,10 @@ def dominates(p1: Sequence[Agent], p2: Sequence[Agent]) -> bool:
     >>> dominates((2, 1), (1, 2))
     False
     """
-    if len(p1) != len(p2) or core_of(p1) != core_of(p2):
+    d1, d2 = decompose(p1), decompose(p2)
+    if len(p1) != len(p2) or d1.core != d2.core:
         return False
-    return all(z1 <= z2 for z1, z2 in zip(position_vector(p1), position_vector(p2)))
+    return all(z1 <= z2 for z1, z2 in zip(d1.position_vector, d2.position_vector))
 
 
 def policy_from_positions(core: Sequence[Agent], positions: Sequence[int], length: int) -> Policy:
@@ -126,8 +106,8 @@ def enumerate_dominated(policy: Sequence[Agent]) -> Iterator[Policy]:
     [(1, 2), (2, 1)]
     """
     policy = tuple(policy)
-    z = position_vector(policy)
-    core = core_of(policy)
+    dec = decompose(policy)
+    z, core = dec.position_vector, dec.core
     m = len(policy)
     k = len(z)
     if k == 0:

@@ -6,18 +6,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import engine
 from .dp import dp_best_response
 from .model import MANIPULATOR, Instance, Item, make_instance
-from .oracle import Solution
+from .oracle import Solution, _solution_from_strategy
 
 
 def truthful_response(inst: Instance) -> Solution:
     """Outcome when the manipulator simply plays its truthful ranking."""
-    strategy = inst.manipulator_ranking
-    seq = engine.execute(inst, strategy)
-    bundle = engine.manipulator_bundle(inst, seq)
-    return Solution(strategy=strategy, sequence=seq, bundle=bundle, utility=bundle.total_utility)
+    return _solution_from_strategy(inst, inst.manipulator_ranking)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from .dp import best_response_with_table
 from .greedy import greedy_alg
@@ -169,20 +170,16 @@ class SweepSummary:
                 self.crucial_greedy_gaps.append(record.spec)
 
 
-def _check_chunk(args: tuple) -> list[CheckRecord]:
-    chunk, node_budget, policy_budget, check_crucial = args
-    return [
-        check_spec(spec, node_budget, policy_budget, check_crucial) for spec in chunk
-    ]
-
-
-def _chunks(iterable: Iterable, size: int) -> Iterator[list]:
-    it = iter(iterable)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
+def _starmap(fn: Callable, arg_tuples: Iterable[tuple], workers: int, chunk_size: int) -> Iterator:
+    """``itertools.starmap`` in input order, over a process pool in chunks of
+    ``chunk_size`` when ``workers > 1``.  The serial path starts no pool and
+    pulls its arguments lazily."""
+    if workers <= 1:
+        yield from itertools.starmap(fn, arg_tuples)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Executor.map takes one iterable per parameter: transpose the tuples.
+        yield from pool.map(fn, *zip(*arg_tuples), chunksize=chunk_size)
 
 
 def sweep(
@@ -194,19 +191,12 @@ def sweep(
     check_crucial: bool = False,
 ) -> SweepSummary:
     """Check a stream of specs; aggregates results in input order."""
-    summary = SweepSummary()
-    if workers <= 1:
-        for spec in specs:
-            summary.absorb(check_spec(spec, node_budget, policy_budget, check_crucial))
-        return summary
-    jobs = (
-        (block, node_budget, policy_budget, check_crucial)
-        for block in _chunks(specs, chunk_size)
+    check = partial(
+        check_spec, node_budget=node_budget, policy_budget=policy_budget, check_crucial=check_crucial
     )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(_check_chunk, jobs):
-            for record in records:
-                summary.absorb(record)
+    summary = SweepSummary()
+    for record in _starmap(check, ((spec,) for spec in specs), workers, chunk_size):
+        summary.absorb(record)
     return summary
 
 
@@ -223,17 +213,7 @@ class BenchRow:
     dp_millis: float
 
 
-BENCH_FIELDS = (
-    "seed",
-    "n",
-    "m",
-    "k1",
-    "utility_opt",
-    "utility_truthful",
-    "ratio",
-    "dp_states",
-    "dp_millis",
-)
+BENCH_FIELDS = tuple(f.name for f in fields(BenchRow))
 
 
 def bench_one(n: int, m: int, seed: int) -> BenchRow:
@@ -257,19 +237,8 @@ def bench_one(n: int, m: int, seed: int) -> BenchRow:
     )
 
 
-def _bench_chunk(params: list[tuple[int, int, int]]) -> list[BenchRow]:
-    return [bench_one(n, m, seed) for n, m, seed in params]
-
-
 def bench_many(
     params: Iterable[tuple[int, int, int]], workers: int = 1
 ) -> list[BenchRow]:
     """Bench a list of (n, m, seed) cases, preserving input order."""
-    params = list(params)
-    if workers <= 1:
-        return [bench_one(n, m, seed) for n, m, seed in params]
-    rows: list[BenchRow] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk_rows in pool.map(_bench_chunk, _chunks(params, 4)):
-            rows.extend(chunk_rows)
-    return rows
+    return list(_starmap(bench_one, params, workers, chunk_size=4))

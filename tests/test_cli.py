@@ -84,6 +84,17 @@ def test_oracle_budget_exit_code(capsys, ex1_path):
     assert "budget" in err.lower() or "states" in err.lower()
 
 
+def test_oracle_too_deep_exits_budget_without_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(sm.serialize_instance(sm.generate_random_instance(2, 1200, seed=1)), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqmanip", "oracle", str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert "recursion" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_ratio_tightness(capsys):
     code, out, _err = run_cli(capsys, "ratio", "--tightness", "1000")
     assert code == 0

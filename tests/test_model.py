@@ -68,6 +68,16 @@ def test_empty_instance_is_valid():
         (lambda d: d.__setitem__("extra", 1), "document"),
         (lambda d: d["utilities"].__setitem__("a", "5/0"), "utilities.a"),
         (lambda d: d["utilities"].__setitem__("a", "not-a-number"), "utilities.a"),
+        pytest.param(lambda d: d["policy"].__setitem__(0, True), "policy[0]", id="bool-policy-entry"),
+        pytest.param(lambda d: d.__setitem__("agents", True), "agents", id="bool-agents"),
+        pytest.param(
+            lambda d: d["rankings"].__setitem__("01", ["e", "b", "d", "c", "a"]),
+            "rankings.01",
+            id="duplicate-agent-key",
+        ),
+        pytest.param(lambda d: d["utilities"].__setitem__("e", 0.3), "utilities.e", id="float-utility"),
+        pytest.param(lambda d: d["utilities"].__setitem__("e", "0.3"), "utilities.e", id="decimal-utility"),
+        pytest.param(lambda d: d["utilities"].__setitem__("a", "1e100000"), "utilities.a", id="exponent-utility"),
     ],
 )
 def test_validator_rejects_mutants(ex1_document, mutate, path_fragment):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import seqmanip as sm
-from seqmanip.policy import core_of, policy_from_positions, position_vector
+from seqmanip.policy import policy_from_positions
 
 
 def test_decompose_13221():
@@ -14,8 +14,8 @@ def test_decompose_13221():
     assert dec.position_vector == (1, 5)
     assert dec.k_prefix == (0, 1, 1, 1)
     assert dec.m_prime == 3
-    assert dec.trivial_segment == (1,)
-    assert dec.prefix_segments(2) == (1, 3, 2)
+    assert dec.segments[-1] == (1,)
+    assert sum(dec.segments[:2], ()) == (1, 3, 2)
 
 
 def test_decompose_single_nonmanipulator_turn():
@@ -23,7 +23,7 @@ def test_decompose_single_nonmanipulator_turn():
     assert dec.segments == ((2,), ())
     assert dec.core == (2,)
     assert dec.position_vector == ()
-    assert dec.trivial_segment == ()
+    assert dec.segments[-1] == ()
 
 
 def test_decompose_manipulator_only():
@@ -48,11 +48,14 @@ def test_decompose_invariants_random():
         for seg in dec.segments[:-1]:
             assert seg[-1] != 1
             assert all(a == 1 for a in seg[:-1])
-        assert all(a == 1 for a in dec.trivial_segment)
+        assert all(a == 1 for a in dec.segments[-1])
         assert len(dec.segments) == dec.m_prime + 1
         k1 = sum(1 for a in policy if a == 1)
-        assert dec.k_prefix[dec.m_prime] + len(dec.trivial_segment) == k1
-        assert dec.prefix_segments(dec.m_prime + 1) == policy
+        assert dec.k_prefix[dec.m_prime] + len(dec.segments[-1]) == k1
+        assert sum(dec.segments, ()) == policy
+        # core and position vector are the two halves of the policy
+        assert dec.core == tuple(a for a in policy if a != 1)
+        assert dec.position_vector == tuple(pos for pos, a in enumerate(policy, start=1) if a == 1)
 
 
 def test_dominates_examples():
@@ -77,7 +80,7 @@ def test_domination_is_a_partial_order_on_fixed_core():
     ]
     by_core: dict[tuple, list] = {}
     for p in policies:
-        by_core.setdefault((len(p), core_of(p)), []).append(p)
+        by_core.setdefault((len(p), sm.decompose(p).core), []).append(p)
     for group in by_core.values():
         for p1 in group:
             for p2 in group:
@@ -100,7 +103,7 @@ def test_enumerate_dominated_13221():
         (3, 2, 1, 2, 1),
         (3, 2, 2, 1, 1),
     ]
-    assert [position_vector(p) for p in out] == [(1, 5), (2, 5), (3, 5), (4, 5)]
+    assert [sm.decompose(p).position_vector for p in out] == [(1, 5), (2, 5), (3, 5), (4, 5)]
 
 
 def test_enumerate_dominated_trivial_cases():
@@ -126,10 +129,10 @@ def test_enumerate_dominated_properties():
         previous = None
         for p in sm.enumerate_dominated(policy):
             assert sm.dominates(policy, p)
-            assert core_of(p) == core_of(policy)
+            assert sm.decompose(p).core == sm.decompose(policy).core
             assert p not in seen
             seen.add(p)
-            vec = position_vector(p)
+            vec = sm.decompose(p).position_vector
             if previous is not None:
                 assert previous < vec  # lexicographic order
             previous = vec
