@@ -9,8 +9,8 @@ partial trace whose turn order is dominated by the instance's policy, and
 the best completion over the final stage is the exact optimum.
 
 The table is sparse: only reachable states are materialised.  Entries store
-utility and a backpointer; allocated item sets are bitmasks over the
-instance's integer view, carried stage-to-stage during construction and
+utility and a backpointer; allocated item sets (byte masks over the
+instance's integer view) are carried stage-to-stage during construction and
 rebuilt later by replaying backpointers through the same stage step.
 """
 
@@ -43,9 +43,9 @@ def _tie_key(entry: DPEntry) -> tuple:
     return entry.q, entry.pred_rank, entry.pred
 
 
-def _stage_tops(inst: Instance, agent: int, mask: int, count: int) -> list[int]:
-    """The stage step: the first ``count`` items of ``agent``'s ranking
-    outside ``mask``, as item indices.  A segment with ``q`` manipulator
+def _stage_tops(inst: Instance, agent: int, taken: bytes | bytearray, count: int) -> list[int]:
+    """The stage step: the first ``count`` items of ``agent``'s ranking not
+    ``taken``, as item indices.  A segment with ``q`` manipulator
     turns gives the manipulator the first ``q`` of them and the stage agent
     the next one."""
     first_free = inst.view.first_free
@@ -53,16 +53,16 @@ def _stage_tops(inst: Instance, agent: int, mask: int, count: int) -> list[int]:
     tops: list[int] = []
     pos = -1
     for _ in range(count):
-        pos = first_free(pref, mask, pos + 1)
+        pos = first_free(pref, taken, pos + 1)
         tops.append(pref[pos])
     return tops
 
 
 def _build(
     inst: Instance, check_invariance: bool = False
-) -> tuple[dict[DPState, DPEntry], dict[DPState, int]]:
-    """Fill the table; returns it plus the allocated-item bitmasks of the
-    final stage (needed to complete solutions)."""
+) -> tuple[dict[DPState, DPEntry], dict[DPState, bytes]]:
+    """Fill the table; returns it plus the allocated-item sets of the final
+    stage (needed to complete solutions)."""
     dec = decompose(inst.policy)
     core = dec.core
     n = inst.n_agents
@@ -71,25 +71,26 @@ def _build(
     utility = view.utility
     base = DPState(0, 0, (0,) * (n - 1))
     table: dict[DPState, DPEntry] = {base: DPEntry(Fraction(0), None, 0, 0)}
-    masks: dict[DPState, int] = {base: 0}
+    masks: dict[DPState, bytes] = {base: bytes(m)}
     for x in range(1, dec.m_prime + 1):
         stage_agent = core[x - 1]
         coord = stage_agent - 2
         k_x = dec.k_prefix[x]
         rank = view.rank[stage_agent]
-        new_masks: dict[DPState, int] = {}
-        for pred_state, pred_mask in masks.items():
+        new_masks: dict[DPState, bytes] = {}
+        for pred_state, pred_taken in masks.items():
             pred_entry = table[pred_state]
             y0 = pred_state.y
             remaining = m - (x - 1) - y0
             q_max = min(k_x - y0, remaining - 1)
             if q_max < 0:
                 continue
-            tops = _stage_tops(inst, stage_agent, pred_mask, q_max + 1)
+            tops = _stage_tops(inst, stage_agent, pred_taken, q_max + 1)
             last = pred_state.last_rank
+            taken = bytearray(pred_taken)
             taken_util = Fraction(0)
-            taken_mask = 0
             for q, received in enumerate(tops):
+                taken[received] = 1
                 state = DPState(
                     x, y0 + q, last[:coord] + (rank[received] + 1,) + last[coord + 1 :]
                 )
@@ -119,9 +120,8 @@ def _build(
                     )
                 ):
                     table[state] = cand
-                    new_masks[state] = pred_mask | taken_mask | (1 << received)
+                    new_masks[state] = bytes(taken)
                 taken_util += utility[received]
-                taken_mask |= 1 << received
         masks = new_masks
     return table, masks
 
@@ -156,14 +156,14 @@ def replay_state(
         state = table[state].pred
     chain.reverse()
     core = decompose(inst.policy).core
-    mask = 0
+    taken = bytearray(inst.m)
     steps: list[Step] = []
     for node in chain:
         stage_agent = core[node.x - 1]
-        tops = _stage_tops(inst, stage_agent, mask, table[node].q + 1)
+        tops = _stage_tops(inst, stage_agent, taken, table[node].q + 1)
         steps.extend(_segment_steps(inst, stage_agent, tops))
         for i in tops:
-            mask |= 1 << i
+            taken[i] = 1
     return tuple(steps)
 
 
@@ -175,13 +175,13 @@ def best_response_with_table(
     pref1 = inst.view.prefs[MANIPULATOR]
     utility = inst.view.utility
 
-    def completion(mask: int) -> list[int]:
+    def completion(taken: bytes) -> list[int]:
         """The manipulator's picks after the last segment: every item left."""
-        return [i for i in pref1 if not mask >> i & 1]
+        return [i for i in pref1 if not taken[i]]
 
     totals = {
-        state: table[state].utility + sum((utility[i] for i in completion(mask)), Fraction(0))
-        for state, mask in final_masks.items()
+        state: table[state].utility + sum((utility[i] for i in completion(taken)), Fraction(0))
+        for state, taken in final_masks.items()
     }
     # the best total; among equal totals the smallest state
     best_state = min(totals, key=lambda state: (-totals[state], state))

@@ -56,13 +56,13 @@ def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
     # The manipulator picks along its strategy as the others do along their rankings.
     prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
     cursors = dict.fromkeys(prefs, 0)
-    mask = 0
+    taken = bytearray(inst.m)
     steps: list[Step] = []
     for agent in inst.policy:
         pref = prefs[agent]
-        cursors[agent] = cur = first_free(pref, mask, cursors[agent])
+        cursors[agent] = cur = first_free(pref, taken, cursors[agent])
         i = pref[cur]
-        mask |= 1 << i
+        taken[i] = 1
         steps.append((inst.items[i], agent))
     return tuple(steps)
 
@@ -72,14 +72,14 @@ def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
     known items, no duplicates, and every non-manipulator step takes that
     agent's most preferred remaining item."""
     view = inst.view
-    mask = 0
+    taken = bytearray(inst.m)
     for item, agent in seq:
         i = view.index.get(item)
-        if i is None or mask >> i & 1:
+        if i is None or taken[i]:
             return False
-        if agent != MANIPULATOR and view.top(agent, mask) != i:
+        if agent != MANIPULATOR and view.top(agent, taken) != i:
             return False
-        mask |= 1 << i
+        taken[i] = 1
     return True
 
 
@@ -164,12 +164,12 @@ def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
     if not trace_feasible(inst, seq):
         raise ValueError("greediness is only defined for feasible traces")
     view = inst.view
-    mask = 0
+    taken = bytearray(inst.m)
     for (item, _agent), who in zip(seq, _greedy_choosers([agent for _, agent in seq])):
         i = view.index[item]
-        if i != view.top(who, mask):
+        if i != view.top(who, taken):
             return False
-        mask |= 1 << i
+        taken[i] = 1
     return True
 
 

@@ -26,12 +26,12 @@ def greedy_alg(inst: Instance) -> tuple[AllocationSequence, PickingStrategy]:
     """
     prefs, first_free = inst.view.prefs, inst.view.first_free
     cursors = dict.fromkeys(prefs, 0)
-    mask = 0
+    taken = bytearray(inst.m)
     steps: list[Step] = []
     for agent, who in zip(inst.policy, _greedy_choosers(inst.policy)):
         pref = prefs[who]
-        cursors[who] = cur = first_free(pref, mask, cursors[who])
-        mask |= 1 << pref[cur]
+        cursors[who] = cur = first_free(pref, taken, cursors[who])
+        taken[pref[cur]] = 1
         steps.append((inst.items[pref[cur]], agent))
     seq = tuple(steps)
     return seq, strategy_from_sequence(inst, seq)

@@ -40,8 +40,9 @@ class _IntegerView(NamedTuple):
 
     ``prefs[agent]`` is the agent's ranking as item indices, ``rank[agent][i]``
     the position of item ``i`` in that ranking, and ``utility[i]`` the
-    manipulator's exact utility for item ``i``.  An allocated set is a bitmask
-    over item indices.
+    manipulator's exact utility for item ``i``.  An allocated set is a
+    ``bytearray`` (or ``bytes``) of length m whose entry ``i`` is 1 when item
+    ``i`` is taken, so a membership test costs the same at any m.
     """
 
     index: dict[Item, int]
@@ -50,17 +51,17 @@ class _IntegerView(NamedTuple):
     utility: tuple[Fraction, ...]
 
     @staticmethod
-    def first_free(pref: Sequence[int], mask: int, start: int = 0) -> int:
+    def first_free(pref: Sequence[int], taken: bytes | bytearray, start: int = 0) -> int:
         """Position of the first item index in ``pref``, at or after
-        ``start``, that is not in ``mask``; the caller guarantees one exists."""
-        while mask >> pref[start] & 1:
+        ``start``, that is not ``taken``; the caller guarantees one exists."""
+        while taken[pref[start]]:
             start += 1
         return start
 
-    def top(self, agent: Agent, mask: int) -> int:
-        """Index of ``agent``'s most preferred item not in ``mask``."""
+    def top(self, agent: Agent, taken: bytes | bytearray) -> int:
+        """Index of ``agent``'s most preferred item not ``taken``."""
         pref = self.prefs[agent]
-        return pref[self.first_free(pref, mask)]
+        return pref[self.first_free(pref, taken)]
 
 
 @dataclass(frozen=True, eq=True)

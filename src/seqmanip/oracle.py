@@ -4,9 +4,9 @@ Two independent exact methods: an exhaustive choice tree over manipulator
 picks, and greedy runs over every dominated policy.  Either one pins down
 the manipulator's optimal utility; agreeing with each other and with the
 dynamic program is the core cross-validation of this package.  The searches
-work on the instance's integer view: allocated sets are bitmasks over item
-indices.  Their recursion is one level per turn, so instances too long for
-the interpreter's recursion limit raise :class:`BudgetExceeded`.
+work on the instance's integer view, with the allocated set as a byte mask
+over item indices.  Their recursion is one level per turn, so instances too
+long for the interpreter's recursion limit raise :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -98,15 +98,17 @@ def choice_tree_best(inst: Instance, node_budget: int | None = None) -> Solution
     utility = view.utility
     rank1 = view.rank[MANIPULATOR]
     policy = inst.policy
-    # mask -> (utility, sorted manipulator ranks of the bundle, item picked)
-    memo: dict[int, tuple[Fraction, tuple[int, ...], int]] = {}
+    # allocated set -> (utility, sorted manipulator ranks of the bundle, item picked)
+    memo: dict[bytes, tuple[Fraction, tuple[int, ...], int]] = {}
+    taken = bytearray(m)  # the allocated set on the branch being explored
     nodes = 0
 
-    def solve(mask: int, pos: int) -> tuple[Fraction, tuple[int, ...], int]:
+    def solve(pos: int) -> tuple[Fraction, tuple[int, ...], int]:
         nonlocal nodes
         if pos == m:
             return Fraction(0), (), -1
-        cached = memo.get(mask)
+        key = bytes(taken)
+        cached = memo.get(key)
         if cached is not None:
             return cached
         nodes += 1
@@ -116,16 +118,19 @@ def choice_tree_best(inst: Instance, node_budget: int | None = None) -> Solution
             )
         agent = policy[pos]
         if agent != MANIPULATOR:
-            pick = view.top(agent, mask)
-            sub_util, sub_bundle, _ = solve(mask | (1 << pick), pos + 1)
+            pick = view.top(agent, taken)
+            taken[pick] = 1
+            sub_util, sub_bundle, _ = solve(pos + 1)
+            taken[pick] = 0
             result = (sub_util, sub_bundle, pick)
         else:
             best: tuple[Fraction, tuple[int, ...], int] | None = None
             for i in range(m):
-                bit = 1 << i
-                if mask & bit:
+                if taken[i]:
                     continue
-                sub_util, sub_bundle, _ = solve(mask | bit, pos + 1)
+                taken[i] = 1
+                sub_util, sub_bundle, _ = solve(pos + 1)
+                taken[i] = 0
                 cand_util = utility[i] + sub_util
                 cand_bundle = tuple(sorted(sub_bundle + (rank1[i],)))
                 if (
@@ -136,17 +141,16 @@ def choice_tree_best(inst: Instance, node_budget: int | None = None) -> Solution
                     best = (cand_util, cand_bundle, i)
             assert best is not None
             result = best
-        memo[mask] = result
+        memo[key] = result
         return result
 
-    best_util, best_ranks, _ = solve(0, 0)
+    best_util, best_ranks, _ = solve(0)
     # Rebuild the chosen trace by following the memoised picks.
     steps = []
-    mask = 0
     for agent in policy:
-        pick = memo[mask][2]
+        pick = memo[bytes(taken)][2]
         steps.append((inst.items[pick], agent))
-        mask |= 1 << pick
+        taken[pick] = 1
     seq = tuple(steps)
     solution = _solution_from_strategy(inst, engine.strategy_from_sequence(inst, seq))
     bundle_ranks = {rank1[view.index[item]] for item in solution.bundle.items}
@@ -227,22 +231,27 @@ def achievable_bundles_exact(inst: Instance, target: frozenset) -> bool:
     target_idx = [view.index[item] for item in sorted(target)]
     policy = inst.policy
     m = inst.m
-    seen: set[int] = set()
+    taken = bytearray(m)  # the allocated set on the branch being explored
+    seen: set[bytes] = set()
 
-    def search(mask: int, pos: int) -> bool:
+    def search(pos: int) -> bool:
         if pos == m:
             return True
-        if mask in seen:
+        key = bytes(taken)
+        if key in seen:
             return False
         agent = policy[pos]
         if agent != MANIPULATOR:
-            if search(mask | (1 << view.top(agent, mask)), pos + 1):
-                return True
+            picks = [view.top(agent, taken)]
         else:
-            for i in target_idx:
-                if not mask & (1 << i) and search(mask | (1 << i), pos + 1):
-                    return True
-        seen.add(mask)
+            picks = [i for i in target_idx if not taken[i]]
+        for i in picks:
+            taken[i] = 1
+            found = search(pos + 1)
+            taken[i] = 0
+            if found:
+                return True
+        seen.add(key)
         return False
 
-    return search(0, 0)
+    return search(0)
