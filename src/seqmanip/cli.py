@@ -54,14 +54,6 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(handle.read())
 
 
-def _ordered_bundle(inst: Instance, items: frozenset) -> list[str]:
-    return [item for item in inst.manipulator_ranking if item in items]
-
-
-def _sequence_payload(seq) -> list[dict]:
-    return [{"item": item, "agent": agent} for item, agent in seq]
-
-
 def _decimal(value: Fraction, places: int = 6) -> str:
     scaled = round(value * 10**places)
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
@@ -69,10 +61,10 @@ def _decimal(value: Fraction, places: int = 6) -> str:
 
 def _solution_payload(inst: Instance, solution: Solution) -> dict:
     return {
-        "bundle": _ordered_bundle(inst, solution.bundle.items),
+        "bundle": [item for item in inst.manipulator_ranking if item in solution.bundle.items],
         "utility": str(solution.utility),
         "strategy": list(solution.strategy),
-        "sequence": _sequence_payload(solution.sequence),
+        "sequence": [{"item": item, "agent": agent} for item, agent in solution.sequence],
     }
 
 
@@ -197,8 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary = sweeps.sweep(
         itertools.chain.from_iterable(specs),
         workers=args.workers,
-        node_budget=args.budget,
-        policy_budget=args.budget,
+        budget=args.budget,
     )
     payload = {
         "checked": summary.checked,

@@ -52,18 +52,24 @@ def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
     if len(strategy) != inst.m or set(strategy) != set(inst.items):
         raise ValueError("picking strategy must be a permutation of the item set")
     view = inst.view
-    first_free = view.first_free
     # The manipulator picks along its strategy as the others do along their rankings.
     prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
+    return _allocate(inst, prefs, inst.policy)
+
+
+def _allocate(inst: Instance, prefs: dict[Agent, Sequence[int]], choosers: Sequence[Agent]) -> AllocationSequence:
+    """The trace in which turn ``t`` of the policy takes the first free item
+    of ``prefs[choosers[t]]``.  One monotone cursor per ranking keeps it
+    linear in the number of items."""
+    first_free = inst.view.first_free
     cursors = dict.fromkeys(prefs, 0)
     taken = bytearray(inst.m)
     steps: list[Step] = []
-    for agent in inst.policy:
-        pref = prefs[agent]
-        cursors[agent] = cur = first_free(pref, taken, cursors[agent])
-        i = pref[cur]
-        taken[i] = 1
-        steps.append((inst.items[i], agent))
+    for agent, who in zip(inst.policy, choosers):
+        pref = prefs[who]
+        cursors[who] = cur = first_free(pref, taken, cursors[who])
+        taken[pref[cur]] = 1
+        steps.append((inst.items[pref[cur]], agent))
     return tuple(steps)
 
 

@@ -9,7 +9,7 @@ the dynamic program.
 
 from __future__ import annotations
 
-from .engine import AllocationSequence, PickingStrategy, Step, _greedy_choosers, strategy_from_sequence
+from .engine import AllocationSequence, PickingStrategy, _allocate, _greedy_choosers, strategy_from_sequence
 from .model import Instance
 
 
@@ -24,14 +24,5 @@ def greedy_alg(inst: Instance) -> tuple[AllocationSequence, PickingStrategy]:
     >>> [item for item, agent in trace if agent == 1]
     ['g2', 'g1']
     """
-    prefs, first_free = inst.view.prefs, inst.view.first_free
-    cursors = dict.fromkeys(prefs, 0)
-    taken = bytearray(inst.m)
-    steps: list[Step] = []
-    for agent, who in zip(inst.policy, _greedy_choosers(inst.policy)):
-        pref = prefs[who]
-        cursors[who] = cur = first_free(pref, taken, cursors[who])
-        taken[pref[cur]] = 1
-        steps.append((inst.items[pref[cur]], agent))
-    seq = tuple(steps)
+    seq = _allocate(inst, inst.view.prefs, _greedy_choosers(inst.policy))
     return seq, strategy_from_sequence(inst, seq)

@@ -3,16 +3,21 @@
 Items are short string tokens, agents are 1-based integers, and agent 1 is
 always the manipulator. The manipulator's cardinal utilities are exact
 rationals so that solver comparisons never suffer floating-point ties.
+
+Constructing an :class:`Instance` validates it and, in the same pass, builds
+its integer view (``Instance.view``), which every solver works on.
+``Instance.with_policy`` checks only the new policy and shares the view.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import json
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Item = str
@@ -80,9 +85,11 @@ class Instance:
     policy: tuple[Agent, ...]
     rankings: Mapping[Agent, tuple[Item, ...]]
     utility: Mapping[Item, Fraction]
+    # The integer view every solver works on, built by the validator.
+    view: _IntegerView = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _validate(self)
+        object.__setattr__(self, "view", _validate(self))
 
     @property
     def m(self) -> int:
@@ -103,28 +110,15 @@ class Instance:
     def manipulator_ranking(self) -> tuple[Item, ...]:
         return self.rankings[MANIPULATOR]
 
-    @cached_property
-    def view(self) -> _IntegerView:
-        """The integer view every solver works on, built once per instance."""
-        index = {item: i for i, item in enumerate(self.items)}
-        prefs = {agent: tuple(index[item] for item in ranking) for agent, ranking in self.rankings.items()}
-        rank = {}
-        for agent, pref in prefs.items():
-            inverse = [0] * len(pref)
-            for pos, i in enumerate(pref):
-                inverse[i] = pos
-            rank[agent] = tuple(inverse)
-        utility = tuple(self.utility[item] for item in self.items)
-        return _IntegerView(index, prefs, rank, utility)
-
     def with_policy(self, policy: Iterable[Agent]) -> "Instance":
-        """A copy of this instance under a different policy (revalidated).
+        """A copy of this instance under a different policy.
 
-        Rankings and utilities are unchanged, so the copy shares this
-        instance's integer view.
+        Only the new policy is checked: items, rankings and utilities are the
+        same objects, so the copy shares this instance's integer view.
         """
-        variant = replace(self, policy=tuple(policy))
-        variant.__dict__["view"] = self.view
+        policy = _check_policy(tuple(policy), len(self.items), self.n_agents)
+        variant = copy.copy(self)
+        object.__setattr__(variant, "policy", policy)
         return variant
 
 
@@ -139,48 +133,67 @@ def _rational(item: Item, raw: object) -> Fraction:
         raise InstanceError(f"utilities.{item}", f"unparseable rational {raw!r}") from exc
 
 
-def _validate(inst: Instance) -> None:
+def _check_policy(policy: tuple, m: int, n_agents: int) -> tuple[Agent, ...]:
+    """``policy`` itself, once it is m exact ints (not bools) in 1..n_agents."""
+    if len(policy) != m:
+        raise InstanceError("policy", f"length {len(policy)} does not match item count {m}")
+    for pos, agent in enumerate(policy):
+        if type(agent) is not int or not 1 <= agent <= n_agents:
+            raise InstanceError(f"policy[{pos}]", f"agent index {agent!r} out of range 1..{n_agents}")
+    return policy
+
+
+def _validate(inst: Instance) -> _IntegerView:
+    """Check every field and return the instance's integer view."""
     # Counts and agents are exact ints: ``type(...) is int`` also rejects
     # ``bool``, which is a subclass of ``int``.
-    if type(inst.n_agents) is not int:
+    n = inst.n_agents
+    if type(n) is not int:
         raise InstanceError("agents", "must be an integer")
-    if inst.n_agents < 1:
+    if n < 1:
         raise InstanceError("agents", "need at least one agent")
-    item_set = set(inst.items)
-    if len(item_set) != len(inst.items):
+    items = inst.items
+    m = len(items)
+    try:
+        index = {item: i for i, item in enumerate(items)}
+    except TypeError:  # an unhashable identifier, which the loop below rejects
+        index = None
+    if index is not None and len(index) != m:
         raise InstanceError("items", "duplicate item identifiers")
-    for it in inst.items:
+    for it in items:
         if not isinstance(it, str) or not it:
             raise InstanceError("items", f"item identifiers must be non-empty strings, got {it!r}")
-    if len(inst.policy) != len(inst.items):
-        raise InstanceError(
-            "policy",
-            f"length {len(inst.policy)} does not match item count {len(inst.items)}",
-        )
-    for pos, agent in enumerate(inst.policy):
-        if type(agent) is not int or not 1 <= agent <= inst.n_agents:
-            raise InstanceError(f"policy[{pos}]", f"agent index {agent!r} out of range 1..{inst.n_agents}")
-    expected_agents = set(range(1, inst.n_agents + 1))
-    if set(inst.rankings) != expected_agents:
-        raise InstanceError("rankings", f"need exactly agents {sorted(expected_agents)}, got {sorted(inst.rankings)}")
+    _check_policy(inst.policy, m, n)
+    # Checked on the keys present, so the cost and the message do not grow
+    # with ``n``: n keys, each in 1..n, are exactly the agents 1..n.
+    if len(inst.rankings) != n or not all(isinstance(a, int) and 1 <= a <= n for a in inst.rankings):
+        raise InstanceError("rankings", f"need exactly agents 1..{n}, got {sorted(inst.rankings)}")
+    prefs, rank = {}, {}
     for agent, ranking in inst.rankings.items():
-        if set(ranking) != item_set or len(ranking) != len(inst.items):
+        pref = tuple(index.get(it) if isinstance(it, str) else None for it in ranking)
+        if len(pref) != m or None in pref or len(set(pref)) != m:
             raise InstanceError(f"rankings.{agent}", "not a permutation of the item set")
-    if set(inst.utility) != item_set:
+        inverse = [0] * m
+        for pos, i in enumerate(pref):
+            inverse[i] = pos
+        prefs[agent], rank[agent] = pref, tuple(inverse)
+    if set(inst.utility) != index.keys():
         raise InstanceError("utilities", "must assign a value to exactly the item set")
     for item, value in inst.utility.items():
         if not isinstance(value, Fraction):
             raise InstanceError(f"utilities.{item}", f"expected an exact rational, got {type(value).__name__}")
         if value <= 0:
             raise InstanceError(f"utilities.{item}", f"utilities must be strictly positive, got {value}")
-    ranking1 = inst.rankings[MANIPULATOR]
-    for better, worse in zip(ranking1, ranking1[1:]):
-        if not inst.utility[better] > inst.utility[worse]:
+    utility = tuple(inst.utility[item] for item in items)
+    pref1 = prefs[MANIPULATOR]
+    for better, worse in zip(pref1, pref1[1:]):
+        if not utility[better] > utility[worse]:
             raise InstanceError(
-                f"utilities.{worse}",
-                f"utility inconsistent with ranking: u({better})={inst.utility[better]} "
-                f"must exceed u({worse})={inst.utility[worse]}",
+                f"utilities.{items[worse]}",
+                f"utility inconsistent with ranking: u({items[better]})={utility[better]} "
+                f"must exceed u({items[worse]})={utility[worse]}",
             )
+    return _IntegerView(index, prefs, rank, utility)
 
 
 def make_instance(
@@ -196,8 +209,11 @@ def make_instance(
     converted to :class:`fractions.Fraction` (Fractions, integers and
     integer or "p/q" strings accepted; floats and booleans rejected).
     """
+    items = tuple(items)
+    with contextlib.suppress(TypeError):  # identifiers of mixed types, which the validator rejects
+        items = tuple(sorted(items))
     return Instance(
-        items=tuple(sorted(items)),
+        items=items,
         n_agents=n_agents,
         policy=tuple(policy),
         rankings={int(agent): tuple(r) for agent, r in rankings.items()},
@@ -222,7 +238,7 @@ def parse_instance(text: str) -> Instance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long integers and too-deep nesting
         raise InstanceError("document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("document", "top level must be an object")

@@ -197,20 +197,18 @@ def dominated_greedy_best(
     return solution, best_policy
 
 
-def is_crucial(
-    inst: Instance,
-    node_budget: int | None = None,
-    policy_budget: int | None = None,
-) -> bool:
+def is_crucial(inst: Instance, budget: int | None = None) -> bool:
     """Is every strictly dominated policy strictly worse at the optimum?
 
-    Vacuously true when the policy has no strict dominatee.
+    Vacuously true when the policy has no strict dominatee.  ``budget`` caps
+    each choice tree's states and the dominated-policy count; ``None`` keeps
+    each search's default.
     """
-    own = choice_tree_best(inst, node_budget=node_budget).utility
-    for pol in _dominated_within_budget(inst, policy_budget):
+    own = choice_tree_best(inst, node_budget=budget).utility
+    for pol in _dominated_within_budget(inst, budget):
         if pol == inst.policy:
             continue
-        other = choice_tree_best(inst.with_policy(pol), node_budget=node_budget).utility
+        other = choice_tree_best(inst.with_policy(pol), node_budget=budget).utility
         if other >= own:
             return False
     return True

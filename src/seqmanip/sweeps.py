@@ -103,23 +103,22 @@ class CheckRecord:
 
 def check_spec(
     spec: Spec,
-    node_budget: int | None = None,
-    policy_budget: int | None = None,
+    budget: int | None = None,
     check_crucial: bool = False,
 ) -> CheckRecord:
-    """Solve one instance with all methods and collect the comparison."""
+    """Solve one instance with all methods and collect the comparison.
+
+    ``budget`` caps each oracle search (choice-tree states, dominated
+    policies); ``None`` keeps each search's default.
+    """
     inst = build_instance(spec)
     sol_dp, table = best_response_with_table(inst)
-    sol_tree = choice_tree_best(inst, node_budget=node_budget)
-    sol_dom, _certificate = dominated_greedy_best(inst, policy_budget=policy_budget)
+    sol_tree = choice_tree_best(inst, node_budget=budget)
+    sol_dom, _certificate = dominated_greedy_best(inst, policy_budget=budget)
     truthful = truthful_response(inst)
     greedy_seq, _ = greedy_alg(inst)
     greedy_utility = engine.manipulator_bundle(inst, greedy_seq).total_utility
-    crucial = (
-        is_crucial(inst, node_budget=node_budget, policy_budget=policy_budget)
-        if check_crucial
-        else None
-    )
+    crucial = is_crucial(inst, budget=budget) if check_crucial else None
     return CheckRecord(
         spec=spec,
         n=inst.n_agents,
@@ -186,14 +185,11 @@ def sweep(
     specs: Iterable[Spec],
     workers: int = 1,
     chunk_size: int = 512,
-    node_budget: int | None = None,
-    policy_budget: int | None = None,
+    budget: int | None = None,
     check_crucial: bool = False,
 ) -> SweepSummary:
     """Check a stream of specs; aggregates results in input order."""
-    check = partial(
-        check_spec, node_budget=node_budget, policy_budget=policy_budget, check_crucial=check_crucial
-    )
+    check = partial(check_spec, budget=budget, check_crucial=check_crucial)
     summary = SweepSummary()
     for record in _starmap(check, ((spec,) for spec in specs), workers, chunk_size):
         summary.absorb(record)

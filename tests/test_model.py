@@ -2,9 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqmanip as sm
-from _util import example1_document
+from _util import example1, example1_document
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
 
 def test_parse_example1(ex1_document):
@@ -93,6 +96,19 @@ def test_parse_rejects_non_json():
         sm.parse_instance("this is not json")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"agents": ' + "1" * 5000 + "}", id="integer-past-digit-limit"),
+        pytest.param("[" * 100000 + "]" * 100000, id="nesting-past-recursion-limit"),
+    ],
+)
+def test_parse_rejects_json_the_decoder_cannot_hold(text):
+    with pytest.raises(sm.InstanceError) as err:
+        sm.parse_instance(text)
+    assert err.value.path == "document"
+
+
 def test_generator_is_deterministic():
     a = sm.generate_random_instance(3, 6, seed=7)
     b = sm.generate_random_instance(3, 6, seed=7)
@@ -155,3 +171,145 @@ def test_with_policy_revalidates(ex1):
     variant = ex1.with_policy((3, 2, 1, 2, 1))
     assert variant.policy == (3, 2, 1, 2, 1)
     assert variant.items == ex1.items
+
+
+def test_agent_check_does_not_grow_with_agents_value():
+    doc = {
+        "items": ["a", "b", "c"],
+        "agents": 100000,
+        "policy": [1, 2, 1],
+        "rankings": {"1": ["a", "b", "c"], "2": ["c", "b", "a"]},
+        "utilities": {"a": "3", "b": "2", "c": "1"},
+    }
+    with pytest.raises(sm.InstanceError) as err:
+        sm.parse_instance(json.dumps(doc))
+    assert err.value.path == "rankings"
+    assert str(err.value) == "rankings: need exactly agents 1..100000, got [1, 2]"
+    assert len(str(err.value)) < 200
+
+
+def _make_with_policy(inst, policy):
+    return sm.make_instance(inst.items, inst.n_agents, policy, inst.rankings, inst.utility)
+
+
+def test_with_policy_checks_only_the_policy(ex1, monkeypatch):
+    def no_validation(inst):
+        raise AssertionError("with_policy must not revalidate the instance")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("seqmanip.model._validate", no_validation)
+        variant = ex1.with_policy((3, 2, 1, 2, 1))
+        bad = {}
+        for policy in [(True, 3, 2, 2, 1), (1, 3, 2, 4, 1), (1, 3, 2, 2)]:
+            with pytest.raises(sm.InstanceError) as err:
+                ex1.with_policy(policy)
+            bad[policy] = err.value.path
+    assert variant.policy == (3, 2, 1, 2, 1)
+    assert variant.view is ex1.view
+    assert variant == _make_with_policy(ex1, (3, 2, 1, 2, 1))
+    assert bad == {(True, 3, 2, 2, 1): "policy[0]", (1, 3, 2, 4, 1): "policy[3]", (1, 3, 2, 2): "policy"}
+    for policy, path in bad.items():
+        with pytest.raises(sm.InstanceError) as err:
+            _make_with_policy(ex1, policy)
+        assert err.value.path == path
+
+
+# Replacement values of every JSON type for any value in a document.
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.sampled_from(["1e5", "0.3", "1/0", "-1", "", "a", "3", "1" * 5000]),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 5), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _value_slots(value):
+    """(container, key) of every value nested in a JSON value."""
+    keys = range(len(value)) if isinstance(value, list) else value if isinstance(value, dict) else ()
+    slots = []
+    for key in keys:
+        slots.append((value, key))
+        slots += _value_slots(value[key])
+    return slots
+
+
+@st.composite
+def _mutated_documents(draw):
+    """example1's document after one to three mutations, as JSON text."""
+    doc = json.loads(example1_document())
+    duplicate = None
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["drop", "add", "duplicate", "swap", "ranking", "agents", "reorder", "turn"]
+        kind = draw(st.sampled_from(kinds))
+        mappings = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+        if kind == "reorder":
+            target = draw(st.sampled_from(mappings))
+            for key in draw(st.permutations(list(target))):
+                target[key] = target.pop(key)
+        elif kind in ("drop", "add"):
+            target = draw(st.sampled_from(mappings))
+            if kind == "drop" and target:
+                del target[draw(st.sampled_from(sorted(target)))]
+            else:
+                key = draw(st.one_of(st.sampled_from(["4", "01", " 2", "0", "-1", "f", "extra", "1_0"]), st.text(max_size=3)))
+                target[key] = draw(st.one_of(_JSON_VALUES, st.just(["a", "b", "c", "d", "e"])))
+        elif kind == "duplicate" and doc:
+            key = draw(st.sampled_from(sorted(doc)))
+            duplicate = (key, doc[key] if draw(st.booleans()) else draw(_JSON_VALUES))
+        elif kind == "swap":
+            container, key = draw(st.sampled_from(_value_slots(doc)))
+            container[key] = draw(_JSON_VALUES)
+        elif kind == "ranking":
+            rankings = doc.get("rankings")
+            lists = [r for r in rankings.values() if isinstance(r, list)] if isinstance(rankings, dict) else []
+            if lists:
+                ranking = draw(st.sampled_from(lists))
+                edit = draw(st.sampled_from(["shuffle", "truncate", "extend"]))
+                if edit == "shuffle":
+                    ranking[:] = draw(st.permutations(ranking))
+                elif edit == "truncate" and ranking:
+                    del ranking[draw(st.integers(0, len(ranking) - 1)) :]
+                else:
+                    ranking.append(draw(st.sampled_from(["a", "e", "z"])))
+        elif kind == "turn":  # give one turn to another agent, valid or not
+            policy = doc.get("policy")
+            if isinstance(policy, list) and policy:
+                policy[draw(st.integers(0, len(policy) - 1))] = draw(st.integers(0, 4))
+        else:
+            doc["agents"] = draw(st.one_of(st.integers(-2, 6), st.sampled_from([100000, 10**30]), _JSON_VALUES))
+    text = json.dumps(doc)
+    if duplicate is not None:
+        # A repeated top-level key; json.loads keeps the last of equal keys.
+        pair = json.dumps(duplicate[0]) + ": " + json.dumps(duplicate[1])
+        text = text[:-1] + (", " if doc else "") + pair + "}"
+    return text
+
+
+@PROPERTY_SETTINGS
+@given(_mutated_documents())
+def test_mutated_documents_roundtrip_or_fail_with_a_path(text):
+    try:
+        inst = sm.parse_instance(text)
+    except sm.InstanceError as err:
+        assert err.path
+    else:
+        assert sm.parse_instance(sm.serialize_instance(inst)) == inst
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_with_policy_matches_make_instance(data):
+    inst = data.draw(st.sampled_from([example1(), sm.generate_random_instance(4, 6, seed=2)]))
+    entries = st.one_of(st.integers(-1, inst.n_agents + 1), st.booleans())
+    policy = data.draw(st.lists(entries, max_size=inst.m + 2))
+    outcomes = []
+    for build in (inst.with_policy, lambda p: _make_with_policy(inst, p)):
+        try:
+            outcomes.append(build(policy))
+        except sm.InstanceError as err:
+            outcomes.append(err.path)
+    assert outcomes[0] == outcomes[1]

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 import seqmanip as sm
 from seqmanip import sweeps
 
@@ -58,3 +60,10 @@ def test_bench_rows_deterministic_and_parallel():
         assert row.dp_millis >= 0
         if row.k1:
             assert Fraction(1, 2) <= row.ratio <= 1
+
+
+def test_one_budget_caps_every_oracle_search(ex1):
+    with pytest.raises(sm.BudgetExceeded):
+        sm.is_crucial(ex1, budget=1)
+    with pytest.raises(sm.BudgetExceeded):
+        sweeps.sweep([("random", 3, 6, 42)], budget=1, check_crucial=True)
