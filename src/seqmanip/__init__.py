@@ -9,11 +9,12 @@ against two independent brute-force oracles, and measures how far the
 truthful response falls short of the optimum (never below one half).
 """
 
-from .dp import DPEntry, DPState, best_response_with_table, build_opt_table, dp_best_response, replay_state
+from .dp import DPEntry, DPState, best_response_with_table, replay_state
 from .engine import (
     AllocationSequence,
     Bundle,
     PickingStrategy,
+    Solution,
     bundle_items,
     check_feasible,
     considered_before,
@@ -38,7 +39,6 @@ from .model import (
 )
 from .oracle import (
     BudgetExceeded,
-    Solution,
     choice_tree_best,
     dominated_greedy_best,
     is_crucial,
@@ -95,9 +95,7 @@ __all__ = [
     "is_crucial",
     "DPState",
     "DPEntry",
-    "build_opt_table",
     "replay_state",
-    "dp_best_response",
     "best_response_with_table",
     "truthful_response",
     "ApproximationReport",

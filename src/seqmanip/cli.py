@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import sweeps
 from .dp import best_response_with_table
-from .engine import manipulator_bundle
+from .engine import Solution, manipulator_bundle
 from .greedy import greedy_alg
 from .model import (
     Instance,
@@ -30,7 +30,7 @@ from .model import (
     parse_instance,
     serialize_instance,
 )
-from .oracle import BudgetExceeded, Solution, choice_tree_best, dominated_greedy_best
+from .oracle import BudgetExceeded, choice_tree_best, dominated_greedy_best
 from .responses import allocation_response, approximation_report, truthful_response
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     payload["dp_states"] = len(table)
     exit_code = EXIT_OK
     if args.check:
-        reference, certificate = dominated_greedy_best(inst, policy_budget=args.budget)
+        reference, certificate = dominated_greedy_best(inst, budget=args.budget)
         agrees = reference.utility == solution.utility
         payload["check"] = {
             "method": "dominated-greedy",
@@ -105,8 +105,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_greedy(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     seq, strategy = greedy_alg(inst)
-    bundle = manipulator_bundle(inst, seq)
-    _emit(_solution_payload(inst, Solution(strategy, seq, bundle, bundle.total_utility)))
+    _emit(_solution_payload(inst, Solution(strategy, seq, manipulator_bundle(inst, seq))))
     return EXIT_OK
 
 
@@ -119,10 +118,10 @@ def _cmd_truthful(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     if args.method == "choice-tree":
-        solution = choice_tree_best(inst, node_budget=args.budget)
+        solution = choice_tree_best(inst, budget=args.budget)
         payload = _solution_payload(inst, solution)
     else:
-        solution, certificate = dominated_greedy_best(inst, policy_budget=args.budget)
+        solution, certificate = dominated_greedy_best(inst, budget=args.budget)
         payload = _solution_payload(inst, solution)
         payload["certificate_policy"] = list(certificate)
     payload["method"] = args.method

@@ -8,10 +8,13 @@ by that agent's own pick.  Every stored state therefore replays to a greedy
 partial trace whose turn order is dominated by the instance's policy, and
 the best completion over the final stage is the exact optimum.
 
-The table is sparse: only reachable states are materialised.  Entries store
-utility and a backpointer; allocated item sets (byte masks over the
-instance's integer view) are carried stage-to-stage during construction and
-rebuilt later by replaying backpointers through the same stage step.
+The table is sparse: only reachable states are materialised.  An entry
+stores the best utility reaching its state, the predecessor state and the
+segment's q; of two candidates with equal utility the smaller (q, pred)
+wins.  Allocated item sets (byte masks over the instance's integer view) are
+carried stage-to-stage during construction and rebuilt later by replaying
+backpointers through the same stage step.  :func:`best_response_with_table`
+is the one solver: it returns the optimum together with the table.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import engine
-from .engine import AllocationSequence, Step
+from .engine import AllocationSequence, Solution, Step
 from .model import MANIPULATOR, Instance
-from .oracle import Solution
 from .policy import decompose
 
 
@@ -36,11 +38,6 @@ class DPEntry(NamedTuple):
     utility: Fraction
     pred: DPState | None
     q: int
-    pred_rank: int
-
-
-def _tie_key(entry: DPEntry) -> tuple:
-    return entry.q, entry.pred_rank, entry.pred
 
 
 def _stage_tops(inst: Instance, agent: int, taken: bytes | bytearray, count: int) -> list[int]:
@@ -58,9 +55,7 @@ def _stage_tops(inst: Instance, agent: int, taken: bytes | bytearray, count: int
     return tops
 
 
-def _build(
-    inst: Instance, check_invariance: bool = False
-) -> tuple[dict[DPState, DPEntry], dict[DPState, bytes]]:
+def _build(inst: Instance) -> tuple[dict[DPState, DPEntry], dict[DPState, bytes]]:
     """Fill the table; returns it plus the allocated-item sets of the final
     stage (needed to complete solutions)."""
     dec = decompose(inst.policy)
@@ -70,7 +65,7 @@ def _build(
     view = inst.view
     utility = view.utility
     base = DPState(0, 0, (0,) * (n - 1))
-    table: dict[DPState, DPEntry] = {base: DPEntry(Fraction(0), None, 0, 0)}
+    table: dict[DPState, DPEntry] = {base: DPEntry(Fraction(0), None, 0)}
     masks: dict[DPState, bytes] = {base: bytes(m)}
     for x in range(1, dec.m_prime + 1):
         stage_agent = core[x - 1]
@@ -79,7 +74,7 @@ def _build(
         rank = view.rank[stage_agent]
         new_masks: dict[DPState, bytes] = {}
         for pred_state, pred_taken in masks.items():
-            pred_entry = table[pred_state]
+            pred_utility = table[pred_state].utility
             y0 = pred_state.y
             remaining = m - (x - 1) - y0
             q_max = min(k_x - y0, remaining - 1)
@@ -94,56 +89,21 @@ def _build(
                 state = DPState(
                     x, y0 + q, last[:coord] + (rank[received] + 1,) + last[coord + 1 :]
                 )
-                cand = DPEntry(
-                    pred_entry.utility + taken_util,
-                    pred_state,
-                    q,
-                    last[coord],
-                )
+                cand_utility = pred_utility + taken_util
                 incumbent = table.get(state)
-                if check_invariance and incumbent is not None:
-                    cand_seq = replay_state(inst, table, pred_state) + _segment_steps(
-                        inst, stage_agent, tops[: q + 1]
-                    )
-                    stored_seq = replay_state(inst, table, state)
-                    if not engine.invariance_related(cand_seq, stored_seq):
-                        raise RuntimeError(
-                            f"internal error: state {state} reached by traces "
-                            "outside the invariance relation"
-                        )
                 if (
                     incumbent is None
-                    or cand.utility > incumbent.utility
+                    or cand_utility > incumbent.utility
                     or (
-                        cand.utility == incumbent.utility
-                        and _tie_key(cand) < _tie_key(incumbent)
+                        cand_utility == incumbent.utility
+                        and (q, pred_state) < (incumbent.q, incumbent.pred)
                     )
                 ):
-                    table[state] = cand
+                    table[state] = DPEntry(cand_utility, pred_state, q)
                     new_masks[state] = bytes(taken)
                 taken_util += utility[received]
         masks = new_masks
     return table, masks
-
-
-def _segment_steps(inst: Instance, stage_agent: int, tops: list[int]) -> AllocationSequence:
-    """A segment's trace: the manipulator takes all of ``tops`` but the last
-    item, which goes to the stage agent."""
-    steps: list[Step] = [(inst.items[i], MANIPULATOR) for i in tops[:-1]]
-    steps.append((inst.items[tops[-1]], stage_agent))
-    return tuple(steps)
-
-
-def build_opt_table(
-    inst: Instance, check_invariance: bool = False
-) -> dict[DPState, DPEntry]:
-    """All reachable states with their best utilities and backpointers.
-
-    With ``check_invariance=True`` every state collision replays both
-    candidate traces and verifies they are invariance-related (slow; meant
-    for desk-scale validation).
-    """
-    return _build(inst, check_invariance)[0]
 
 
 def replay_state(
@@ -161,16 +121,18 @@ def replay_state(
     for node in chain:
         stage_agent = core[node.x - 1]
         tops = _stage_tops(inst, stage_agent, taken, table[node].q + 1)
-        steps.extend(_segment_steps(inst, stage_agent, tops))
+        # The manipulator takes every item of the segment but the last, which
+        # goes to the stage agent.
+        steps.extend((inst.items[i], MANIPULATOR) for i in tops[:-1])
+        steps.append((inst.items[tops[-1]], stage_agent))
         for i in tops:
             taken[i] = 1
     return tuple(steps)
 
 
-def best_response_with_table(
-    inst: Instance,
-) -> tuple[Solution, dict[DPState, DPEntry]]:
-    """Solve best response and also return the table (for stats or dumps)."""
+def best_response_with_table(inst: Instance) -> tuple[Solution, dict[DPState, DPEntry]]:
+    """The manipulator's exact optimum (strategy, trace, bundle, utility) and
+    the table of every reachable state."""
     table, final_masks = _build(inst)
     pref1 = inst.view.prefs[MANIPULATOR]
     utility = inst.view.utility
@@ -199,12 +161,4 @@ def best_response_with_table(
             "internal error: associated strategy does not recover the optimal "
             "bundle on the original policy"
         )
-    solution = Solution(
-        strategy=strategy, sequence=seq, bundle=bundle, utility=bundle.total_utility
-    )
-    return solution, table
-
-
-def dp_best_response(inst: Instance) -> Solution:
-    """The manipulator's exact optimum: strategy, trace, bundle, utility."""
-    return best_response_with_table(inst)[0]
+    return Solution(strategy, seq, bundle), table

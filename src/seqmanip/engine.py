@@ -32,6 +32,19 @@ class Bundle:
     total_utility: Fraction
 
 
+@dataclass(frozen=True)
+class Solution:
+    """A picking strategy, its trace on the instance, and the manipulator's bundle."""
+
+    strategy: PickingStrategy
+    sequence: AllocationSequence
+    bundle: Bundle
+
+    @property
+    def utility(self) -> Fraction:
+        return self.bundle.total_utility
+
+
 def bundle_items(seq: Sequence[Step], agent: Agent) -> frozenset[Item]:
     """Items allocated to ``agent`` in a trace."""
     return frozenset(item for item, a in seq if a == agent)
@@ -54,18 +67,25 @@ def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
     view = inst.view
     # The manipulator picks along its strategy as the others do along their rankings.
     prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
-    return _allocate(inst, prefs, inst.policy)
+    return _allocate(inst, prefs, inst.policy, inst.policy)
 
 
-def _allocate(inst: Instance, prefs: dict[Agent, Sequence[int]], choosers: Sequence[Agent]) -> AllocationSequence:
-    """The trace in which turn ``t`` of the policy takes the first free item
-    of ``prefs[choosers[t]]``.  One monotone cursor per ranking keeps it
-    linear in the number of items."""
+def _solution_from_strategy(inst: Instance, strategy: PickingStrategy) -> Solution:
+    seq = execute(inst, strategy)
+    return Solution(strategy, seq, manipulator_bundle(inst, seq))
+
+
+def _allocate(
+    inst: Instance, prefs: dict[Agent, Sequence[int]], turns: Sequence[Agent], choosers: Sequence[Agent]
+) -> AllocationSequence:
+    """The trace in which turn ``t``, taken by ``turns[t]``, takes the first
+    free item of ``prefs[choosers[t]]``.  One monotone cursor per ranking
+    keeps it linear in the number of items."""
     first_free = inst.view.first_free
     cursors = dict.fromkeys(prefs, 0)
     taken = bytearray(inst.m)
     steps: list[Step] = []
-    for agent, who in zip(inst.policy, choosers):
+    for agent, who in zip(turns, choosers):
         pref = prefs[who]
         cursors[who] = cur = first_free(pref, taken, cursors[who])
         taken[pref[cur]] = 1
@@ -169,14 +189,8 @@ def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
     """
     if not trace_feasible(inst, seq):
         raise ValueError("greediness is only defined for feasible traces")
-    view = inst.view
-    taken = bytearray(inst.m)
-    for (item, _agent), who in zip(seq, _greedy_choosers([agent for _, agent in seq])):
-        i = view.index[item]
-        if i != view.top(who, taken):
-            return False
-        taken[i] = 1
-    return True
+    turns = [agent for _, agent in seq]
+    return tuple(map(tuple, seq)) == _allocate(inst, inst.view.prefs, turns, _greedy_choosers(turns))
 
 
 def invariance_related(s1: Sequence[Step], s2: Sequence[Step]) -> bool:

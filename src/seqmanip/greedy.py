@@ -24,5 +24,5 @@ def greedy_alg(inst: Instance) -> tuple[AllocationSequence, PickingStrategy]:
     >>> [item for item, agent in trace if agent == 1]
     ['g2', 'g1']
     """
-    seq = _allocate(inst, inst.view.prefs, _greedy_choosers(inst.policy))
+    seq = _allocate(inst, inst.view.prefs, inst.policy, _greedy_choosers(inst.policy))
     return seq, strategy_from_sequence(inst, seq)

@@ -30,6 +30,17 @@ _DOCUMENT_KEYS = {"items", "agents", "policy", "rankings", "utilities"}
 # Utility strings: a decimal integer or "p/q"; no decimal points or exponents.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+# Document content longer than this is cut in error paths and messages, so
+# that an error's size does not grow with the input.
+_QUOTE_LIMIT = 80
+
+
+def _clip(text: str) -> str:
+    """``text`` itself, or its first ``_QUOTE_LIMIT`` characters and its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
 
 class InstanceError(ValueError):
     """Invalid instance document or field; ``path`` points at the culprit."""
@@ -126,11 +137,13 @@ def _rational(item: Item, raw: object) -> Fraction:
     """An exact utility from a Fraction, an int (not a bool), or a string
     holding an integer or "p/q"; floats are rejected, never converted."""
     if not (isinstance(raw, Fraction) or type(raw) is int or (isinstance(raw, str) and _RATIONAL.fullmatch(raw))):
-        raise InstanceError(f"utilities.{item}", f"expected an integer or a 'p/q' string, got {raw!r}")
+        raise InstanceError(
+            f"utilities.{_clip(str(item))}", f"expected an integer or a 'p/q' string, got {_clip(repr(raw))}"
+        )
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"utilities.{item}", f"unparseable rational {raw!r}") from exc
+        raise InstanceError(f"utilities.{_clip(str(item))}", f"unparseable rational {_clip(repr(raw))}") from exc
 
 
 def _check_policy(policy: tuple, m: int, n_agents: int) -> tuple[Agent, ...]:
@@ -139,7 +152,7 @@ def _check_policy(policy: tuple, m: int, n_agents: int) -> tuple[Agent, ...]:
         raise InstanceError("policy", f"length {len(policy)} does not match item count {m}")
     for pos, agent in enumerate(policy):
         if type(agent) is not int or not 1 <= agent <= n_agents:
-            raise InstanceError(f"policy[{pos}]", f"agent index {agent!r} out of range 1..{n_agents}")
+            raise InstanceError(f"policy[{pos}]", f"agent index {_clip(repr(agent))} out of range 1..{n_agents}")
     return policy
 
 
@@ -162,12 +175,12 @@ def _validate(inst: Instance) -> _IntegerView:
         raise InstanceError("items", "duplicate item identifiers")
     for it in items:
         if not isinstance(it, str) or not it:
-            raise InstanceError("items", f"item identifiers must be non-empty strings, got {it!r}")
+            raise InstanceError("items", f"item identifiers must be non-empty strings, got {_clip(repr(it))}")
     _check_policy(inst.policy, m, n)
     # Checked on the keys present, so the cost and the message do not grow
     # with ``n``: n keys, each in 1..n, are exactly the agents 1..n.
     if len(inst.rankings) != n or not all(isinstance(a, int) and 1 <= a <= n for a in inst.rankings):
-        raise InstanceError("rankings", f"need exactly agents 1..{n}, got {sorted(inst.rankings)}")
+        raise InstanceError("rankings", f"need exactly agents 1..{n}, got {_clip(str(sorted(inst.rankings)))}")
     prefs, rank = {}, {}
     for agent, ranking in inst.rankings.items():
         pref = tuple(index.get(it) if isinstance(it, str) else None for it in ranking)
@@ -181,17 +194,20 @@ def _validate(inst: Instance) -> _IntegerView:
         raise InstanceError("utilities", "must assign a value to exactly the item set")
     for item, value in inst.utility.items():
         if not isinstance(value, Fraction):
-            raise InstanceError(f"utilities.{item}", f"expected an exact rational, got {type(value).__name__}")
+            raise InstanceError(f"utilities.{_clip(item)}", f"expected an exact rational, got {type(value).__name__}")
         if value <= 0:
-            raise InstanceError(f"utilities.{item}", f"utilities must be strictly positive, got {value}")
+            raise InstanceError(
+                f"utilities.{_clip(item)}", f"utilities must be strictly positive, got {_clip(str(value))}"
+            )
     utility = tuple(inst.utility[item] for item in items)
     pref1 = prefs[MANIPULATOR]
     for better, worse in zip(pref1, pref1[1:]):
         if not utility[better] > utility[worse]:
+            b, w = _clip(items[better]), _clip(items[worse])
             raise InstanceError(
-                f"utilities.{items[worse]}",
-                f"utility inconsistent with ranking: u({items[better]})={utility[better]} "
-                f"must exceed u({items[worse]})={utility[worse]}",
+                f"utilities.{w}",
+                f"utility inconsistent with ranking: u({b})={_clip(str(utility[better]))} "
+                f"must exceed u({w})={_clip(str(utility[worse]))}",
             )
     return _IntegerView(index, prefs, rank, utility)
 
@@ -247,7 +263,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError("document", f"missing keys: {sorted(missing)}")
     unknown = set(doc) - _DOCUMENT_KEYS
     if unknown:
-        raise InstanceError("document", f"unknown keys: {sorted(unknown)}")
+        raise InstanceError("document", f"unknown keys: {_clip(str(sorted(unknown)))}")
     items = doc["items"]
     if not isinstance(items, list):
         raise InstanceError("items", "must be a list of item identifiers")
@@ -259,14 +275,15 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError("utilities", "must be an object keyed by item")
     rankings: dict[Agent, list[Item]] = {}
     for key, ranking in doc["rankings"].items():
+        path = f"rankings.{_clip(key)}"
         try:
             agent = int(key)
         except ValueError as exc:
-            raise InstanceError(f"rankings.{key}", "agent keys must be integers") from exc
+            raise InstanceError(path, "agent keys must be integers") from exc
         if not isinstance(ranking, list):
-            raise InstanceError(f"rankings.{key}", "ranking must be a list of items")
+            raise InstanceError(path, "ranking must be a list of items")
         if agent in rankings:
-            raise InstanceError(f"rankings.{key}", f"duplicate key for agent {agent}")
+            raise InstanceError(path, f"duplicate key for agent {_clip(str(agent))}")
         rankings[agent] = ranking
     return make_instance(items, doc["agents"], doc["policy"], rankings, doc["utilities"])
 

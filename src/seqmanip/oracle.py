@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from . import engine
-from .engine import AllocationSequence, Bundle, PickingStrategy
+from .engine import PickingStrategy, Solution, _solution_from_strategy
 from .greedy import greedy_alg
 from .model import MANIPULATOR, Instance
 from .policy import Policy, enumerate_dominated
@@ -62,36 +61,20 @@ def _resolve_budget(value: int | None, default: int) -> int:
     return default
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Optimal strategy, its trace on the instance, and the resulting bundle."""
-
-    strategy: PickingStrategy
-    sequence: AllocationSequence
-    bundle: Bundle
-    utility: Fraction
-
-
-def _solution_from_strategy(inst: Instance, strategy: PickingStrategy) -> Solution:
-    seq = engine.execute(inst, strategy)
-    bundle = engine.manipulator_bundle(inst, seq)
-    return Solution(strategy=strategy, sequence=seq, bundle=bundle, utility=bundle.total_utility)
-
-
-def choice_tree_best(inst: Instance, node_budget: int | None = None) -> Solution:
+def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
     """Exact optimum by branching over every remaining item at every
     manipulator turn (non-manipulator turns are forced).
 
     States are memoised on the set of allocated items, which determines the
     position and the remaining subproblem.  Raises :class:`BudgetExceeded`
-    after expanding more than ``node_budget`` states (default 10**7,
+    after expanding more than ``budget`` states (default 10**7,
     overridable via the ``SEQMANIP_BUDGET`` environment variable).
 
     Ties between optimal bundles break towards the bundle whose items rank
     lexicographically best in the manipulator's own ranking, making the
     result independent of exploration order.
     """
-    budget = _resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
+    budget = _resolve_budget(budget, DEFAULT_NODE_BUDGET)
     _require_headroom(inst.m)
     m = inst.m
     view = inst.view
@@ -159,19 +142,17 @@ def choice_tree_best(inst: Instance, node_budget: int | None = None) -> Solution
     return solution
 
 
-def _dominated_within_budget(inst: Instance, policy_budget: int | None) -> Iterator[Policy]:
+def _dominated_within_budget(inst: Instance, budget: int | None) -> Iterator[Policy]:
     """The policies dominated by the instance's own, in enumeration order;
     raises :class:`BudgetExceeded` past the policy budget."""
-    budget = _resolve_budget(policy_budget, DEFAULT_POLICY_BUDGET)
+    budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
     for count, pol in enumerate(enumerate_dominated(inst.policy), start=1):
         if count > budget:
             raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
         yield pol
 
 
-def dominated_greedy_best(
-    inst: Instance, policy_budget: int | None = None
-) -> tuple[Solution, Policy]:
+def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[Solution, Policy]:
     """Best greedy outcome over every policy dominated by the instance's own.
 
     Returns the solution replayed on the original instance together with the
@@ -181,7 +162,7 @@ def dominated_greedy_best(
     best_util: Fraction | None = None
     best_strategy: PickingStrategy | None = None
     best_policy: Policy | None = None
-    for pol in _dominated_within_budget(inst, policy_budget):
+    for pol in _dominated_within_budget(inst, budget):
         variant = inst.with_policy(pol)
         seq, strategy = greedy_alg(variant)
         util = engine.manipulator_bundle(variant, seq).total_utility
@@ -204,11 +185,11 @@ def is_crucial(inst: Instance, budget: int | None = None) -> bool:
     each choice tree's states and the dominated-policy count; ``None`` keeps
     each search's default.
     """
-    own = choice_tree_best(inst, node_budget=budget).utility
+    own = choice_tree_best(inst, budget=budget).utility
     for pol in _dominated_within_budget(inst, budget):
         if pol == inst.policy:
             continue
-        other = choice_tree_best(inst.with_policy(pol), node_budget=budget).utility
+        other = choice_tree_best(inst.with_policy(pol), budget=budget).utility
         if other >= own:
             return False
     return True

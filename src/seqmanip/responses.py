@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .dp import dp_best_response
+from .dp import best_response_with_table
+from .engine import Solution, _solution_from_strategy
 from .model import MANIPULATOR, Instance, Item, make_instance
-from .oracle import Solution, _solution_from_strategy
 
 
 def truthful_response(inst: Instance) -> Solution:
@@ -33,7 +33,7 @@ def approximation_report(inst: Instance) -> ApproximationReport:
     if inst.k1 == 0:
         raise ValueError("ratio undefined: the policy gives the manipulator no turn")
     truthful = truthful_response(inst).utility
-    optimal = dp_best_response(inst).utility
+    optimal = best_response_with_table(inst)[0].utility
     return ApproximationReport(truthful=truthful, optimal=optimal, ratio=truthful / optimal)
 
 
@@ -41,7 +41,7 @@ def better_than_truth(inst: Instance) -> bool:
     """Can the manipulator strictly beat its truthful outcome?"""
     if inst.k1 == 0:
         return False
-    return dp_best_response(inst).utility > truthful_response(inst).utility
+    return best_response_with_table(inst)[0].utility > truthful_response(inst).utility
 
 
 def allocation_response(inst: Instance, target: Iterable[Item]) -> bool:
@@ -80,4 +80,4 @@ def allocation_response(inst: Instance, target: Iterable[Item]) -> bool:
         {**dict(inst.rankings), MANIPULATOR: tuple(preferred + others)},
         reweighted_utility,
     )
-    return dp_best_response(reweighted).bundle.items == target
+    return best_response_with_table(reweighted)[0].bundle.items == target

@@ -113,8 +113,8 @@ def check_spec(
     """
     inst = build_instance(spec)
     sol_dp, table = best_response_with_table(inst)
-    sol_tree = choice_tree_best(inst, node_budget=budget)
-    sol_dom, _certificate = dominated_greedy_best(inst, policy_budget=budget)
+    sol_tree = choice_tree_best(inst, budget=budget)
+    sol_dom, _certificate = dominated_greedy_best(inst, budget=budget)
     truthful = truthful_response(inst)
     greedy_seq, _ = greedy_alg(inst)
     greedy_utility = engine.manipulator_bundle(inst, greedy_seq).total_utility

@@ -68,13 +68,13 @@ def test_criterion_01_golden_walkthrough():
     inst = example1()
     start = time.perf_counter()
     truthful = sm.execute(inst, ("a", "b", "c", "d", "e"))
-    optimal = sm.dp_best_response(inst)
+    optimal = sm.best_response_with_table(inst)[0]
     misreport = sm.execute(inst, ("b", "a", "c", "d", "e"))
     elapsed = time.perf_counter() - start
     for _ in range(4):  # timing: keep the best of five runs
         start = time.perf_counter()
         sm.execute(inst, ("a", "b", "c", "d", "e"))
-        sm.dp_best_response(inst)
+        sm.best_response_with_table(inst)
         sm.execute(inst, ("b", "a", "c", "d", "e"))
         elapsed = min(elapsed, time.perf_counter() - start)
     ok = (

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import seqmanip as sm
-from seqmanip.dp import DPState, best_response_with_table, build_opt_table, replay_state
+from seqmanip.dp import DPState, best_response_with_table, replay_state
 from seqmanip.policy import decompose
 from _util import random_instances
 
 
 def test_first_stage_states_example1(ex1):
-    table = build_opt_table(ex1)
+    table = best_response_with_table(ex1)[1]
     stage1 = {state: entry for state, entry in table.items() if state.x == 1}
     assert set(stage1) == {DPState(1, 0, (0, 1)), DPState(1, 1, (0, 2))}
     assert stage1[DPState(1, 0, (0, 1))].utility == 0
@@ -18,7 +18,7 @@ def test_first_stage_states_example1(ex1):
 
 def test_collision_keeps_better_candidate_example1(ex1):
     # two traces reach (3, 1, (4, 1)): one paid for b, the other for c
-    table = build_opt_table(ex1)
+    table = best_response_with_table(ex1)[1]
     state = DPState(3, 1, (4, 1))
     assert table[state].utility == Fraction(4)
     assert replay_state(ex1, table, state) == (
@@ -40,7 +40,7 @@ def test_best_response_example1(ex1):
 
 def test_tightness_best_response():
     inst = sm.generate_tightness_instance(10)
-    solution = sm.dp_best_response(inst)
+    solution = sm.best_response_with_table(inst)[0]
     assert solution.bundle.items == {"g2", "g1"}
     assert solution.utility == Fraction(19, 10)
 
@@ -49,16 +49,16 @@ def test_manipulator_only_policy_uses_base_state_only():
     inst = sm.make_instance(
         ["a", "b", "c"], 1, [1, 1, 1], {1: ["a", "b", "c"]}, {"a": 3, "b": 2, "c": 1}
     )
-    table = build_opt_table(inst)
+    table = best_response_with_table(inst)[1]
     assert set(table) == {DPState(0, 0, ())}
-    solution = sm.dp_best_response(inst)
+    solution = sm.best_response_with_table(inst)[0]
     assert solution.bundle.items == {"a", "b", "c"}
     assert solution.utility == Fraction(6)
 
 
 def test_empty_instance():
     inst = sm.make_instance([], 2, [], {1: [], 2: []}, {})
-    solution = sm.dp_best_response(inst)
+    solution = sm.best_response_with_table(inst)[0]
     assert solution.bundle.items == frozenset()
     assert solution.utility == 0
     assert solution.sequence == ()
@@ -68,7 +68,7 @@ def test_no_manipulator_turns():
     inst = sm.make_instance(
         ["a", "b"], 2, [2, 2], {1: ["a", "b"], 2: ["b", "a"]}, {"a": 2, "b": 1}
     )
-    solution = sm.dp_best_response(inst)
+    solution = sm.best_response_with_table(inst)[0]
     assert solution.bundle.items == frozenset()
     assert solution.utility == 0
 
@@ -76,7 +76,7 @@ def test_no_manipulator_turns():
 def test_table_invariants_on_random_instances():
     for inst, seed in random_instances(120, seed=29, max_items=7):
         dec = decompose(inst.policy)
-        table = build_opt_table(inst)
+        table = best_response_with_table(inst)[1]
         for state, entry in table.items():
             assert 0 <= state.x <= dec.m_prime
             assert 0 <= state.y <= dec.k_prefix[state.x] if state.x else state.y == 0
@@ -105,22 +105,64 @@ def test_table_invariants_on_random_instances():
 
 def test_solution_trace_policy_is_dominated():
     for inst, seed in random_instances(150, seed=43, max_items=8):
-        solution = sm.dp_best_response(inst)
+        solution = sm.best_response_with_table(inst)[0]
         recovered = tuple(agent for _, agent in solution.sequence)
         assert sm.dominates(inst.policy, recovered), f"seed={seed}"
         assert sm.is_greedy(inst, solution.sequence)
 
 
-def test_invariance_assertion_mode(ex1):
-    # collisions replay both candidate traces and verify the relation holds
-    build_opt_table(ex1, check_invariance=True)
+def _check_every_transition(inst) -> int:
+    """Step every stored state below the last stage by one segment for each
+    allowed q, independently of the DP's own stage step.  Each target must be
+    stored, each candidate trace must be invariance-related to the stored
+    trace of its target, and the stored entry must be the candidate with the
+    highest utility and, among those, the smallest (q, pred).  Returns the
+    number of targets where two best candidates had the same q."""
+    dec = decompose(inst.policy)
+    _solution, table = best_response_with_table(inst)
+    candidates: dict[DPState, list] = {}
+    for pred, entry in table.items():
+        if pred.x == dec.m_prime:
+            continue
+        x = pred.x + 1
+        agent = dec.core[x - 1]
+        trace = replay_state(inst, table, pred)
+        taken = {item for item, _ in trace}
+        ranking = inst.rankings[agent]
+        free = [item for item in ranking if item not in taken]
+        for q in range(min(dec.k_prefix[x] - pred.y, len(free) - 1) + 1):
+            segment = tuple((item, sm.MANIPULATOR) for item in free[:q]) + ((free[q], agent),)
+            last_rank = list(pred.last_rank)
+            last_rank[agent - 2] = ranking.index(free[q]) + 1
+            target = DPState(x, pred.y + q, tuple(last_rank))
+            assert target in table
+            assert sm.invariance_related(trace + segment, replay_state(inst, table, target))
+            utility = entry.utility + sum((inst.utility[item] for item in free[:q]), Fraction(0))
+            candidates.setdefault(target, []).append((utility, q, pred))
+    assert set(candidates) == {state for state in table if state.x > 0}
+    same_q_ties = 0
+    for state, found in candidates.items():
+        best = max(utility for utility, _, _ in found)
+        winners = sorted((q, pred) for utility, q, pred in found if utility == best)
+        q, pred = winners[0]
+        assert table[state] == sm.DPEntry(best, pred, q)
+        same_q_ties += len(winners) > 1 and winners[0][0] == winners[1][0]
+    return same_q_ties
+
+
+def test_every_transition_keeps_the_best_candidate(ex1):
+    ties = _check_every_transition(ex1)
     for inst, _seed in random_instances(80, seed=47, max_items=7):
-        build_opt_table(inst, check_invariance=True)
+        ties += _check_every_transition(inst)
+    for m in range(8, 13):
+        for seed in range(1, 61):  # seed 60 gives equal-q ties at m = 10 and 12
+            ties += _check_every_transition(sm.generate_random_instance(3, m, seed))
+    assert ties >= 1
 
 
 def test_state_count_within_box_bound():
     for inst, _seed in random_instances(100, seed=53, max_items=9):
-        table = build_opt_table(inst)
+        table = best_response_with_table(inst)[1]
         bound = (
             (1 + inst.m) ** (inst.n_agents - 1)
             * (inst.m_prime + 1)
@@ -130,6 +172,6 @@ def test_state_count_within_box_bound():
 
 
 def test_dp_is_deterministic(ex1):
-    assert sm.dp_best_response(ex1) == sm.dp_best_response(ex1)
+    assert sm.best_response_with_table(ex1)[0] == sm.best_response_with_table(ex1)[0]
     inst = sm.generate_random_instance(3, 12, seed=99)
-    assert sm.dp_best_response(inst) == sm.dp_best_response(inst)
+    assert sm.best_response_with_table(inst)[0] == sm.best_response_with_table(inst)[0]

@@ -91,6 +91,53 @@ def test_validator_rejects_mutants(ex1_document, mutate, path_fragment):
     assert path_fragment in str(err.value)
 
 
+def _three_item_document(**changes) -> dict:
+    doc = {
+        "items": ["g1", "g2", "g3"],
+        "agents": 2,
+        "policy": [1, 2, 1],
+        "rankings": {"1": ["g1", "g2", "g3"], "2": ["g3", "g2", "g1"]},
+        "utilities": {"g1": "3", "g2": "2", "g3": "1"},
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, path_prefix",
+    [
+        pytest.param(
+            _three_item_document(utilities={"g1": "9" * 5000, "g2": "2", "g3": "1"}),
+            "utilities.g1",
+            id="5000-digit-utility",
+        ),
+        pytest.param(
+            _three_item_document(rankings={"1": ["g1", "g2", "g3"], "2" * 5000: ["g3", "g2", "g1"]}),
+            "rankings.",
+            id="5000-digit-rankings-key",
+        ),
+        pytest.param(
+            _three_item_document(utilities={"g1": "x" * 100000, "g2": "2", "g3": "1"}),
+            "utilities.g1",
+            id="100000-character-utility",
+        ),
+        pytest.param(_three_item_document(policy=[[1] * 100000, 2, 1]), "policy[0]", id="list-policy-entry"),
+        pytest.param(
+            _three_item_document(utilities={"g1": -(10**4000), "g2": 2, "g3": 1}),
+            "utilities.g1",
+            id="4000-digit-negative-utility",
+        ),
+        pytest.param(_three_item_document(items=["g1", "g2", ["g3"] * 100000]), "items", id="list-item"),
+        pytest.param(_three_item_document(**{"x" * 100000: 1}), "document", id="100000-character-key"),
+    ],
+)
+def test_error_size_does_not_grow_with_the_input(doc, path_prefix):
+    with pytest.raises(sm.InstanceError) as err:
+        sm.parse_instance(json.dumps(doc))
+    assert err.value.path.startswith(path_prefix)
+    assert len(str(err.value)) < 300
+
+
 def test_parse_rejects_non_json():
     with pytest.raises(sm.InstanceError, match="document"):
         sm.parse_instance("this is not json")

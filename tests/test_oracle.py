@@ -37,7 +37,7 @@ def test_choice_tree_no_manipulator_turns():
 def test_choice_tree_budget_exceeded():
     inst = sm.generate_random_instance(2, 6, seed=1)
     with pytest.raises(sm.BudgetExceeded):
-        sm.choice_tree_best(inst, node_budget=3)
+        sm.choice_tree_best(inst, budget=3)
 
 
 def _assert_tree_matches_brute_force(inst) -> bool:
@@ -130,7 +130,7 @@ def test_dominated_greedy_tightness_certificate():
 
 def test_dominated_greedy_budget_exceeded(ex1):
     with pytest.raises(sm.BudgetExceeded):
-        sm.dominated_greedy_best(ex1, policy_budget=2)
+        sm.dominated_greedy_best(ex1, budget=2)
 
 
 def test_is_crucial_example1(ex1):
@@ -149,7 +149,7 @@ def test_oracles_agree_with_dp_sampled():
     for inst, seed in random_instances(150, seed=17, max_items=7):
         tree = sm.choice_tree_best(inst)
         dom, _ = sm.dominated_greedy_best(inst)
-        dp = sm.dp_best_response(inst)
+        dp = sm.best_response_with_table(inst)[0]
         assert tree.utility == dom.utility == dp.utility, f"seed={seed}"
 
 

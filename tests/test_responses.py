@@ -81,7 +81,7 @@ def test_better_than_truth(ex1):
 def test_half_optimality_sampled():
     for inst, seed in random_instances(200, seed=61, max_items=8):
         truthful = sm.truthful_response(inst).utility
-        optimal = sm.dp_best_response(inst).utility
+        optimal = sm.best_response_with_table(inst)[0].utility
         assert 2 * truthful >= optimal, f"seed={seed}"
         assert truthful <= optimal
 
@@ -110,7 +110,7 @@ def test_allocation_response_empty_target():
 
 def test_allocation_response_accepts_optimal_bundle():
     for inst, seed in random_instances(100, seed=67, max_items=7):
-        bundle = sm.dp_best_response(inst).bundle.items
+        bundle = sm.best_response_with_table(inst)[0].bundle.items
         assert sm.allocation_response(inst, bundle), f"seed={seed}"
 
 
