@@ -13,6 +13,7 @@ from .dp import DPEntry, DPState, best_response_with_table, replay_state
 from .engine import (
     AllocationSequence,
     Bundle,
+    BudgetExceeded,
     PickingStrategy,
     Solution,
     bundle_items,
@@ -38,7 +39,6 @@ from .model import (
     serialize_instance,
 )
 from .oracle import (
-    BudgetExceeded,
     choice_tree_best,
     dominated_greedy_best,
     is_crucial,

@@ -3,7 +3,8 @@
 JSON goes to standard output, logs to standard error.  Exit codes: 0 on
 success, 1 on invalid input, 2 on an internal verification mismatch (the
 dynamic program disagreeing with an oracle, which must never happen), 3 when
-an oracle budget is exceeded.
+a search budget (the dynamic program's states, an oracle's states or
+policies) is exceeded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from . import sweeps
 from .dp import best_response_with_table
-from .engine import Solution, manipulator_bundle
+from .engine import BudgetExceeded, Solution, manipulator_bundle
 from .greedy import greedy_alg
 from .model import (
     Instance,
@@ -30,7 +31,7 @@ from .model import (
     parse_instance,
     serialize_instance,
 )
-from .oracle import BudgetExceeded, choice_tree_best, dominated_greedy_best
+from .oracle import choice_tree_best, dominated_greedy_best
 from .responses import allocation_response, approximation_report, truthful_response
 
 EXIT_OK = 0
@@ -70,7 +71,7 @@ def _solution_payload(inst: Instance, solution: Solution) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    solution, table = best_response_with_table(inst)
+    solution, table = best_response_with_table(inst, budget=args.budget)
     payload = _solution_payload(inst, solution)
     payload["dp_states"] = len(table)
     exit_code = EXIT_OK
@@ -256,7 +257,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_instance(p_solve)
     p_solve.add_argument("--check", action="store_true", help="cross-check against the dominated-greedy oracle")
     p_solve.add_argument("--dump-table", action="store_true", help="include the state table in the output")
-    p_solve.add_argument("--budget", type=int, default=None, help="oracle budget for --check")
+    p_solve.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="budget of the DP's stored states and of the --check oracle's dominated policies",
+    )
     p_solve.set_defaults(func=_cmd_solve)
 
     p_greedy = sub.add_parser("greedy", help="run the greedy procedure")

@@ -11,10 +11,15 @@ the best completion over the final stage is the exact optimum.
 The table is sparse: only reachable states are materialised.  An entry
 stores the best utility reaching its state, the predecessor state and the
 segment's q; of two candidates with equal utility the smaller (q, pred)
-wins.  Allocated item sets (byte masks over the instance's integer view) are
-carried stage-to-stage during construction and rebuilt later by replaying
-backpointers through the same stage step.  :func:`best_response_with_table`
-is the one solver: it returns the optimum together with the table.
+wins.  During the build, utilities are the instance view's integer weights
+(each utility times ``view.scale``), so every sum and comparison is on
+Python ints; the table is returned with each utility as a ``Fraction``,
+made once per stored state.  Allocated item sets (byte masks over the
+instance's integer view) are carried stage-to-stage during construction and
+rebuilt later by replaying backpointers through the same stage step.
+:func:`best_response_with_table` is the one solver: it returns the optimum
+together with the table, and stops with :class:`BudgetExceeded` once the
+table would hold more states than its budget.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import engine
-from .engine import AllocationSequence, Solution, Step
+from .engine import (
+    DEFAULT_STATE_BUDGET,
+    AllocationSequence,
+    BudgetExceeded,
+    Solution,
+    Step,
+    _resolve_budget,
+)
 from .model import MANIPULATOR, Instance
 from .policy import decompose
 
@@ -55,17 +67,22 @@ def _stage_tops(inst: Instance, agent: int, taken: bytes | bytearray, count: int
     return tops
 
 
-def _build(inst: Instance) -> tuple[dict[DPState, DPEntry], dict[DPState, bytes]]:
-    """Fill the table; returns it plus the allocated-item sets of the final
-    stage (needed to complete solutions)."""
+def _build(
+    inst: Instance, budget: int
+) -> tuple[dict[DPState, DPEntry], dict[DPState, tuple[int, bytes]]]:
+    """Fill the table; returns it plus, for each state of the final stage,
+    its utility as an integer weight and its allocated-item set (needed to
+    complete solutions).  Raises :class:`BudgetExceeded` when the table
+    would store more than ``budget`` states."""
     dec = decompose(inst.policy)
     core = dec.core
     n = inst.n_agents
     m = inst.m
     view = inst.view
-    utility = view.utility
+    weight = view.weight
     base = DPState(0, 0, (0,) * (n - 1))
-    table: dict[DPState, DPEntry] = {base: DPEntry(Fraction(0), None, 0)}
+    # Entries hold integer weights until the table is returned.
+    table: dict[DPState, DPEntry] = {base: DPEntry(0, None, 0)}
     masks: dict[DPState, bytes] = {base: bytes(m)}
     for x in range(1, dec.m_prime + 1):
         stage_agent = core[x - 1]
@@ -83,7 +100,7 @@ def _build(inst: Instance) -> tuple[dict[DPState, DPEntry], dict[DPState, bytes]
             tops = _stage_tops(inst, stage_agent, pred_taken, q_max + 1)
             last = pred_state.last_rank
             taken = bytearray(pred_taken)
-            taken_util = Fraction(0)
+            taken_util = 0
             for q, received in enumerate(tops):
                 taken[received] = 1
                 state = DPState(
@@ -91,6 +108,10 @@ def _build(inst: Instance) -> tuple[dict[DPState, DPEntry], dict[DPState, bytes]
                 )
                 cand_utility = pred_utility + taken_util
                 incumbent = table.get(state)
+                if incumbent is None and len(table) >= budget:
+                    raise BudgetExceeded(
+                        f"dynamic program would store more than {budget} states; raise the budget to continue"
+                    )
                 if (
                     incumbent is None
                     or cand_utility > incumbent.utility
@@ -101,9 +122,14 @@ def _build(inst: Instance) -> tuple[dict[DPState, DPEntry], dict[DPState, bytes]
                 ):
                     table[state] = DPEntry(cand_utility, pred_state, q)
                     new_masks[state] = bytes(taken)
-                taken_util += utility[received]
+                taken_util += weight[received]
         masks = new_masks
-    return table, masks
+    final = {state: (table[state].utility, taken) for state, taken in masks.items()}
+    scale = view.scale
+    # In place, so that the weights' entries are freed as they are replaced.
+    for state, e in table.items():
+        table[state] = DPEntry(Fraction(e.utility, scale), e.pred, e.q)
+    return table, final
 
 
 def replay_state(
@@ -130,26 +156,33 @@ def replay_state(
     return tuple(steps)
 
 
-def best_response_with_table(inst: Instance) -> tuple[Solution, dict[DPState, DPEntry]]:
+def best_response_with_table(
+    inst: Instance, budget: int | None = None
+) -> tuple[Solution, dict[DPState, DPEntry]]:
     """The manipulator's exact optimum (strategy, trace, bundle, utility) and
-    the table of every reachable state."""
-    table, final_masks = _build(inst)
+    the table of every reachable state.
+
+    Raises :class:`BudgetExceeded` when the table would store more than
+    ``budget`` states (default 10**7, overridable via the
+    ``SEQMANIP_BUDGET`` environment variable).
+    """
+    table, final = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
     pref1 = inst.view.prefs[MANIPULATOR]
-    utility = inst.view.utility
+    weight = inst.view.weight
 
     def completion(taken: bytes) -> list[int]:
         """The manipulator's picks after the last segment: every item left."""
         return [i for i in pref1 if not taken[i]]
 
     totals = {
-        state: table[state].utility + sum((utility[i] for i in completion(taken)), Fraction(0))
-        for state, taken in final_masks.items()
+        state: utility + sum(weight[i] for i in completion(taken))
+        for state, (utility, taken) in final.items()
     }
     # the best total; among equal totals the smallest state
     best_state = min(totals, key=lambda state: (-totals[state], state))
-    best_total = totals[best_state]
+    best_total = Fraction(totals[best_state], inst.view.scale)
     seq = replay_state(inst, table, best_state) + tuple(
-        (inst.items[i], MANIPULATOR) for i in completion(final_masks[best_state])
+        (inst.items[i], MANIPULATOR) for i in completion(final[best_state][1])
     )
     strategy = engine.strategy_from_sequence(inst, seq)
     bundle = engine.manipulator_bundle(inst, seq)

@@ -8,10 +8,15 @@ An allocation sequence is a tuple of ``(item, agent)`` steps.  A sequence
 carries its own turn order, so partial traces produced under policies other
 than the instance's own can still be checked for feasibility, greediness and
 invariance; the instance only supplies rankings and utilities.
+
+The budget of a search (the DP's stored states, the oracles' expanded states
+or policies) is resolved here, so that every solver shares one rule and one
+:class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +27,23 @@ from .model import MANIPULATOR, Agent, Instance, Item
 Step = tuple[Item, Agent]
 AllocationSequence = tuple[Step, ...]
 PickingStrategy = tuple[Item, ...]
+
+DEFAULT_STATE_BUDGET = 10**7
+
+BUDGET_ENV_VAR = "SEQMANIP_BUDGET"
+
+
+class BudgetExceeded(RuntimeError):
+    """A search outgrew its configured budget."""
+
+
+def _resolve_budget(value: int | None, default: int) -> int:
+    if value is not None:
+        return value
+    env = os.environ.get(BUDGET_ENV_VAR)
+    if env is not None:
+        return int(env)
+    return default
 
 
 @dataclass(frozen=True)
@@ -52,7 +74,9 @@ def bundle_items(seq: Sequence[Step], agent: Agent) -> frozenset[Item]:
 
 def manipulator_bundle(inst: Instance, seq: Sequence[Step]) -> Bundle:
     items = bundle_items(seq, MANIPULATOR)
-    return Bundle(items, sum((inst.utility[i] for i in items), Fraction(0)))
+    view = inst.view
+    weight, index = view.weight, view.index
+    return Bundle(items, Fraction(sum(weight[index[i]] for i in items), view.scale))
 
 
 def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:

@@ -5,8 +5,13 @@ always the manipulator. The manipulator's cardinal utilities are exact
 rationals so that solver comparisons never suffer floating-point ties.
 
 Constructing an :class:`Instance` validates it and, in the same pass, builds
-its integer view (``Instance.view``), which every solver works on.
-``Instance.with_policy`` checks only the new policy and shares the view.
+its integer view (``Instance.view``), which every solver works on.  The view
+holds the utilities as exact integer weights: each utility times ``scale``,
+the least common multiple of their denominators.  Sums and comparisons of
+weights order exactly as those of the utilities, so the solvers add and
+compare Python ints and turn a result back into a ``Fraction`` once, as
+``Fraction(total, scale)``.  ``Instance.with_policy`` checks only the new
+policy and shares the view.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -29,6 +35,12 @@ _DOCUMENT_KEYS = {"items", "agents", "policy", "rankings", "utilities"}
 
 # Utility strings: a decimal integer or "p/q"; no decimal points or exponents.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+# Every weight is about as long as ``scale``, so the view costs m times its
+# size: ``scale`` may have at most as many digits as the longest integer
+# literal CPython parses by default.
+_SCALE_DIGITS = 4300
+_SCALE_LIMIT = 10**_SCALE_DIGITS
 
 # Document content longer than this is cut in error paths and messages, so
 # that an error's size does not grow with the input.
@@ -55,8 +67,10 @@ class _IntegerView(NamedTuple):
     """Items numbered by their position in ``Instance.items``.
 
     ``prefs[agent]`` is the agent's ranking as item indices, ``rank[agent][i]``
-    the position of item ``i`` in that ranking, and ``utility[i]`` the
-    manipulator's exact utility for item ``i``.  An allocated set is a
+    the position of item ``i`` in that ranking, and ``weight[i]`` the
+    manipulator's utility for item ``i`` times ``scale``, the least common
+    multiple of the utilities' denominators: an exact Python int, so that
+    utility ``u`` is ``Fraction(weight[i], scale)``.  An allocated set is a
     ``bytearray`` (or ``bytes``) of length m whose entry ``i`` is 1 when item
     ``i`` is taken, so a membership test costs the same at any m.
     """
@@ -64,7 +78,8 @@ class _IntegerView(NamedTuple):
     index: dict[Item, int]
     prefs: dict[Agent, tuple[int, ...]]
     rank: dict[Agent, tuple[int, ...]]
-    utility: tuple[Fraction, ...]
+    scale: int
+    weight: tuple[int, ...]
 
     @staticmethod
     def first_free(pref: Sequence[int], taken: bytes | bytearray, start: int = 0) -> int:
@@ -200,16 +215,24 @@ def _validate(inst: Instance) -> _IntegerView:
                 f"utilities.{_clip(item)}", f"utilities must be strictly positive, got {_clip(str(value))}"
             )
     utility = tuple(inst.utility[item] for item in items)
+    scale = 1
+    for u in utility:
+        scale = math.lcm(scale, u.denominator)
+        if scale >= _SCALE_LIMIT:
+            raise InstanceError(
+                "utilities", f"the denominators' least common multiple has more than {_SCALE_DIGITS} digits"
+            )
+    weight = tuple(u.numerator * (scale // u.denominator) for u in utility)
     pref1 = prefs[MANIPULATOR]
     for better, worse in zip(pref1, pref1[1:]):
-        if not utility[better] > utility[worse]:
+        if not weight[better] > weight[worse]:
             b, w = _clip(items[better]), _clip(items[worse])
             raise InstanceError(
                 f"utilities.{w}",
                 f"utility inconsistent with ranking: u({b})={_clip(str(utility[better]))} "
                 f"must exceed u({w})={_clip(str(utility[worse]))}",
             )
-    return _IntegerView(index, prefs, rank, utility)
+    return _IntegerView(index, prefs, rank, scale, weight)
 
 
 def make_instance(

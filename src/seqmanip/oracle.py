@@ -11,29 +11,27 @@ long for the interpreter's recursion limit raise :class:`BudgetExceeded`.
 
 from __future__ import annotations
 
-import os
 import sys
 from fractions import Fraction
 from typing import Iterator
 
 from . import engine
-from .engine import PickingStrategy, Solution, _solution_from_strategy
+from .engine import (
+    DEFAULT_STATE_BUDGET,
+    BudgetExceeded,
+    PickingStrategy,
+    Solution,
+    _resolve_budget,
+    _solution_from_strategy,
+)
 from .greedy import greedy_alg
 from .model import MANIPULATOR, Instance
 from .policy import Policy, enumerate_dominated
 
-DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_POLICY_BUDGET = 10**6
 
-BUDGET_ENV_VAR = "SEQMANIP_BUDGET"
-
-
-class BudgetExceeded(RuntimeError):
-    """An exhaustive search outgrew its configured budget."""
-
-
 # Frames kept free below the recursion limit for the calls a search level
-# makes besides its own recursion (Fraction arithmetic, sorting).
+# makes besides its own recursion (the top-remaining scan, sorting).
 _FRAME_MARGIN = 50
 
 
@@ -52,44 +50,38 @@ def _require_headroom(depth: int) -> None:
         )
 
 
-def _resolve_budget(value: int | None, default: int) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return default
-
-
 def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
     """Exact optimum by branching over every remaining item at every
     manipulator turn (non-manipulator turns are forced).
 
     States are memoised on the set of allocated items, which determines the
-    position and the remaining subproblem.  Raises :class:`BudgetExceeded`
-    after expanding more than ``budget`` states (default 10**7,
-    overridable via the ``SEQMANIP_BUDGET`` environment variable).
+    position and the remaining subproblem.  A memo entry holds the best
+    utility of the rest in the view's integer weights; the optimum becomes
+    a ``Fraction`` once, for the rebuild check.  Raises
+    :class:`BudgetExceeded` after expanding more than ``budget`` states
+    (default 10**7, overridable via the ``SEQMANIP_BUDGET`` environment
+    variable).
 
     Ties between optimal bundles break towards the bundle whose items rank
     lexicographically best in the manipulator's own ranking, making the
     result independent of exploration order.
     """
-    budget = _resolve_budget(budget, DEFAULT_NODE_BUDGET)
+    budget = _resolve_budget(budget, DEFAULT_STATE_BUDGET)
     _require_headroom(inst.m)
     m = inst.m
     view = inst.view
-    utility = view.utility
+    weight = view.weight
     rank1 = view.rank[MANIPULATOR]
     policy = inst.policy
-    # allocated set -> (utility, sorted manipulator ranks of the bundle, item picked)
-    memo: dict[bytes, tuple[Fraction, tuple[int, ...], int]] = {}
+    # allocated set -> (weight of the rest's bundle, its sorted manipulator ranks, item picked)
+    memo: dict[bytes, tuple[int, tuple[int, ...], int]] = {}
     taken = bytearray(m)  # the allocated set on the branch being explored
     nodes = 0
 
-    def solve(pos: int) -> tuple[Fraction, tuple[int, ...], int]:
+    def solve(pos: int) -> tuple[int, tuple[int, ...], int]:
         nonlocal nodes
         if pos == m:
-            return Fraction(0), (), -1
+            return 0, (), -1
         key = bytes(taken)
         cached = memo.get(key)
         if cached is not None:
@@ -107,20 +99,19 @@ def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
             taken[pick] = 0
             result = (sub_util, sub_bundle, pick)
         else:
-            best: tuple[Fraction, tuple[int, ...], int] | None = None
+            best: tuple[int, tuple[int, ...], int] | None = None
             for i in range(m):
                 if taken[i]:
                     continue
                 taken[i] = 1
                 sub_util, sub_bundle, _ = solve(pos + 1)
                 taken[i] = 0
-                cand_util = utility[i] + sub_util
+                cand_util = weight[i] + sub_util
+                # Only a candidate that can win or tie needs its bundle's ranks.
+                if best is not None and cand_util < best[0]:
+                    continue
                 cand_bundle = tuple(sorted(sub_bundle + (rank1[i],)))
-                if (
-                    best is None
-                    or cand_util > best[0]
-                    or (cand_util == best[0] and cand_bundle < best[1])
-                ):
+                if best is None or cand_util > best[0] or cand_bundle < best[1]:
                     best = (cand_util, cand_bundle, i)
             assert best is not None
             result = best
@@ -137,7 +128,7 @@ def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
     seq = tuple(steps)
     solution = _solution_from_strategy(inst, engine.strategy_from_sequence(inst, seq))
     bundle_ranks = {rank1[view.index[item]] for item in solution.bundle.items}
-    if solution.utility != best_util or bundle_ranks != set(best_ranks):
+    if solution.utility != Fraction(best_util, view.scale) or bundle_ranks != set(best_ranks):
         raise RuntimeError("internal error: rebuilt trace does not match the memoised optimum")
     return solution
 

@@ -108,11 +108,11 @@ def check_spec(
 ) -> CheckRecord:
     """Solve one instance with all methods and collect the comparison.
 
-    ``budget`` caps each oracle search (choice-tree states, dominated
+    ``budget`` caps each search (DP states, choice-tree states, dominated
     policies); ``None`` keeps each search's default.
     """
     inst = build_instance(spec)
-    sol_dp, table = best_response_with_table(inst)
+    sol_dp, table = best_response_with_table(inst, budget=budget)
     sol_tree = choice_tree_best(inst, budget=budget)
     sol_dom, _certificate = dominated_greedy_best(inst, budget=budget)
     truthful = truthful_response(inst)

@@ -95,6 +95,18 @@ def test_oracle_too_deep_exits_budget_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_solve_state_budget_exits_budget_without_traceback(tmp_path):
+    path = tmp_path / "n3m12.json"
+    path.write_text(sm.serialize_instance(sm.generate_random_instance(3, 12, seed=1)), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqmanip", "solve", str(path), "--budget", "10"], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert "dynamic program would store more than 10 states" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_ratio_tightness(capsys):
     code, out, _err = run_cli(capsys, "ratio", "--tightness", "1000")
     assert code == 0

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 import seqmanip as sm
 from seqmanip.dp import DPState, best_response_with_table, replay_state
 from seqmanip.policy import decompose
@@ -175,3 +177,15 @@ def test_dp_is_deterministic(ex1):
     assert sm.best_response_with_table(ex1)[0] == sm.best_response_with_table(ex1)[0]
     inst = sm.generate_random_instance(3, 12, seed=99)
     assert sm.best_response_with_table(inst)[0] == sm.best_response_with_table(inst)[0]
+
+
+def test_state_budget_counts_stored_states(monkeypatch):
+    inst = sm.generate_random_instance(3, 12, seed=5)
+    solution, table = best_response_with_table(inst)
+    assert best_response_with_table(inst, budget=len(table)) == (solution, table)
+    with pytest.raises(sm.BudgetExceeded, match=f"more than {len(table) - 1} states"):
+        best_response_with_table(inst, budget=len(table) - 1)
+    monkeypatch.setenv("SEQMANIP_BUDGET", str(len(table) - 1))
+    with pytest.raises(sm.BudgetExceeded):
+        best_response_with_table(inst)
+    assert best_response_with_table(inst, budget=len(table))[0] == solution

@@ -138,6 +138,21 @@ def test_error_size_does_not_grow_with_the_input(doc, path_prefix):
     assert len(str(err.value)) < 300
 
 
+def test_weight_scale_is_limited_to_4300_digits(ex1_document):
+    doc = json.loads(ex1_document)
+    # One 4300-digit denominator is a scale of 4300 digits: accepted.
+    doc["utilities"]["e"] = f"1/{10**4299}"
+    assert len(str(sm.parse_instance(json.dumps(doc)).view.scale)) == 4300
+    # Two coprime 2200-digit denominators: a scale of 4399 digits, rejected
+    # before the weights are made.
+    doc["utilities"]["d"] = f"1/{10**2199 + 1}"
+    doc["utilities"]["e"] = f"1/{10**2199 * 2}"
+    with pytest.raises(sm.InstanceError) as err:
+        sm.parse_instance(json.dumps(doc))
+    assert err.value.path == "utilities"
+    assert "more than 4300 digits" in err.value.message
+
+
 def test_parse_rejects_non_json():
     with pytest.raises(sm.InstanceError, match="document"):
         sm.parse_instance("this is not json")
