@@ -17,7 +17,6 @@ policy and shares the view.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 import random
@@ -143,14 +142,17 @@ class Instance:
         same objects, so the copy shares this instance's integer view.
         """
         policy = _check_policy(tuple(policy), len(self.items), self.n_agents)
-        variant = copy.copy(self)
-        object.__setattr__(variant, "policy", policy)
+        # A shallow copy, as copy.copy makes it, without its generic dispatch.
+        variant = object.__new__(Instance)
+        variant.__dict__.update(self.__dict__, policy=policy)
         return variant
 
 
 def _rational(item: Item, raw: object) -> Fraction:
     """An exact utility from a Fraction, an int (not a bool), or a string
     holding an integer or "p/q"; floats are rejected, never converted."""
+    if type(raw) is Fraction:  # immutable, so it can be shared
+        return raw
     if not (isinstance(raw, Fraction) or type(raw) is int or (isinstance(raw, str) and _RATIONAL.fullmatch(raw))):
         raise InstanceError(
             f"utilities.{_clip(str(item))}", f"expected an integer or a 'p/q' string, got {_clip(repr(raw))}"
@@ -210,7 +212,7 @@ def _validate(inst: Instance) -> _IntegerView:
     for item, value in inst.utility.items():
         if not isinstance(value, Fraction):
             raise InstanceError(f"utilities.{_clip(item)}", f"expected an exact rational, got {type(value).__name__}")
-        if value <= 0:
+        if value.numerator <= 0:  # a Fraction's denominator is positive
             raise InstanceError(
                 f"utilities.{_clip(item)}", f"utilities must be strictly positive, got {_clip(str(value))}"
             )

@@ -3,10 +3,16 @@
 Two independent exact methods: an exhaustive choice tree over manipulator
 picks, and greedy runs over every dominated policy.  Either one pins down
 the manipulator's optimal utility; agreeing with each other and with the
-dynamic program is the core cross-validation of this package.  The searches
-work on the instance's integer view, with the allocated set as a byte mask
-over item indices.  Their recursion is one level per turn, so instances too
-long for the interpreter's recursion limit raise :class:`BudgetExceeded`.
+dynamic program is the core cross-validation of this package.
+:func:`is_crucial` takes the optimum from the choice tree and asks each
+dominated policy only whether it reaches it, by the same exhaustive
+branching cut off by a bound (:func:`_reaches`).  The searches work on the
+instance's integer view.  The choice tree and :func:`_reaches` hold the
+allocated set as an int with bit ``i`` set when item ``i`` is taken: it is
+their memo key, cheaper to extend and to hash than a byte mask, and it stays
+short because both searches are exponential in m.  The other searches use
+a byte mask.  Their recursion is one level per turn, so instances too long
+for the interpreter's recursion limit raise :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ from . import engine
 from .engine import (
     DEFAULT_STATE_BUDGET,
     BudgetExceeded,
-    PickingStrategy,
     Solution,
     _resolve_budget,
     _solution_from_strategy,
 )
 from .greedy import greedy_alg
 from .model import MANIPULATOR, Instance
-from .policy import Policy, enumerate_dominated
+from .policy import Policy, decompose, enumerate_dominated
 
 DEFAULT_POLICY_BUDGET = 10**6
 
@@ -66,46 +71,52 @@ def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
     lexicographically best in the manipulator's own ranking, making the
     result independent of exploration order.
     """
-    budget = _resolve_budget(budget, DEFAULT_STATE_BUDGET)
+    return _choice_tree(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))[1]
+
+
+def _choice_tree(inst: Instance, budget: int) -> tuple[int, Solution]:
+    """:func:`choice_tree_best` with its budget resolved; also returns the
+    optimum as an integer weight of the instance's view."""
     _require_headroom(inst.m)
     m = inst.m
     view = inst.view
     weight = view.weight
     rank1 = view.rank[MANIPULATOR]
+    prefs = view.prefs
     policy = inst.policy
+    bits = [1 << i for i in range(m)]
     # allocated set -> (weight of the rest's bundle, its sorted manipulator ranks, item picked)
-    memo: dict[bytes, tuple[int, tuple[int, ...], int]] = {}
-    taken = bytearray(m)  # the allocated set on the branch being explored
+    memo: dict[int, tuple[int, tuple[int, ...], int]] = {}
     nodes = 0
+    leaf = (0, (), -1)
 
-    def solve(pos: int) -> tuple[int, tuple[int, ...], int]:
+    def solve(pos: int, taken: int) -> tuple[int, tuple[int, ...], int]:
+        """Expand the state at turn ``pos < m``, which is not in the memo.
+        A child that is a leaf or a memo hit is looked up here, not called."""
         nonlocal nodes
-        if pos == m:
-            return 0, (), -1
-        key = bytes(taken)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(
                 f"choice tree expanded more than {budget} states; raise the budget to continue"
             )
+        last = pos + 1 == m
         agent = policy[pos]
         if agent != MANIPULATOR:
-            pick = view.top(agent, taken)
-            taken[pick] = 1
-            sub_util, sub_bundle, _ = solve(pos + 1)
-            taken[pick] = 0
-            result = (sub_util, sub_bundle, pick)
+            pref = prefs[agent]
+            j = 0
+            while taken & bits[pref[j]]:
+                j += 1
+            pick = pref[j]
+            child = taken | bits[pick]
+            sub = leaf if last else memo.get(child) or solve(pos + 1, child)
+            result = (sub[0], sub[1], pick)
         else:
             best: tuple[int, tuple[int, ...], int] | None = None
             for i in range(m):
-                if taken[i]:
+                if taken & bits[i]:
                     continue
-                taken[i] = 1
-                sub_util, sub_bundle, _ = solve(pos + 1)
-                taken[i] = 0
+                child = taken | bits[i]
+                sub_util, sub_bundle, _ = leaf if last else memo.get(child) or solve(pos + 1, child)
                 cand_util = weight[i] + sub_util
                 # Only a candidate that can win or tie needs its bundle's ranks.
                 if best is not None and cand_util < best[0]:
@@ -115,22 +126,23 @@ def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
                     best = (cand_util, cand_bundle, i)
             assert best is not None
             result = best
-        memo[key] = result
+        memo[taken] = result
         return result
 
-    best_util, best_ranks, _ = solve(0)
+    best_util, best_ranks, _ = solve(0, 0) if m else leaf
     # Rebuild the chosen trace by following the memoised picks.
     steps = []
+    taken = 0
     for agent in policy:
-        pick = memo[bytes(taken)][2]
+        pick = memo[taken][2]
         steps.append((inst.items[pick], agent))
-        taken[pick] = 1
+        taken |= bits[pick]
     seq = tuple(steps)
     solution = _solution_from_strategy(inst, engine.strategy_from_sequence(inst, seq))
     bundle_ranks = {rank1[view.index[item]] for item in solution.bundle.items}
     if solution.utility != Fraction(best_util, view.scale) or bundle_ranks != set(best_ranks):
         raise RuntimeError("internal error: rebuilt trace does not match the memoised optimum")
-    return solution
+    return best_util, solution
 
 
 def _dominated_within_budget(inst: Instance, budget: int | None) -> Iterator[Policy]:
@@ -149,19 +161,73 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     Returns the solution replayed on the original instance together with the
     dominated policy achieving it (the certificate policy); ties break by
     enumeration order, i.e. the lexicographically first position vector.
+
+    The dominated policies are the orders of the instance's core turns and
+    its manipulator turns in which the i-th manipulator turn comes no
+    earlier than in the instance's policy.  They are walked as a tree of
+    turn prefixes, a manipulator turn before a core turn, which visits them
+    in enumeration order; a greedy turn depends only on the prefix before
+    it (a manipulator turn takes from the next core agent's ranking), so
+    policies that share a prefix share its allocation.  Raises
+    :class:`BudgetExceeded` past ``budget`` policies.
     """
-    best_util: Fraction | None = None
-    best_strategy: PickingStrategy | None = None
+    budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
+    _require_headroom(inst.m)
+    m = inst.m
+    view = inst.view
+    weight, prefs = view.weight, view.prefs
+    dec = decompose(inst.policy)
+    z, core = dec.position_vector, dec.core
+    k, m_core = len(z), len(core)
+    taken = bytearray(m)
+    cursors = dict.fromkeys(prefs, 0)  # per ranking, as in engine._allocate
+    turns: list[int] = []  # the policy prefix on the branch being walked
+    best_weight: int | None = None
     best_policy: Policy | None = None
-    for pol in _dominated_within_budget(inst, budget):
-        variant = inst.with_policy(pol)
-        seq, strategy = greedy_alg(variant)
-        util = engine.manipulator_bundle(variant, seq).total_utility
-        if best_util is None or util > best_util:
-            best_util, best_strategy, best_policy = util, strategy, pol
-    assert best_strategy is not None and best_policy is not None
-    solution = _solution_from_strategy(inst, best_strategy)
-    if solution.utility != best_util:
+    count = 0
+
+    def walk(i: int, c: int, total: int) -> None:
+        """Walk every completion of a prefix with ``i`` manipulator and
+        ``c`` core turns, whose greedy bundle weighs ``total``."""
+        nonlocal best_weight, best_policy, count
+        t = i + c
+        if t == m:
+            count += 1
+            if count > budget:
+                raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
+            if best_weight is None or total > best_weight:
+                best_weight, best_policy = total, tuple(turns)
+            return
+        # (whose turn, whose ranking it takes from): a manipulator turn, if
+        # the i-th may come this late, takes from the next core agent's.
+        options = []
+        if i < k and t + 1 >= z[i]:
+            options.append((MANIPULATOR, core[c] if c < m_core else MANIPULATOR))
+        if c < m_core:
+            options.append((core[c], core[c]))
+        for agent, who in options:
+            pref = prefs[who]
+            start = cursors[who]
+            cur = start
+            while taken[pref[cur]]:
+                cur += 1
+            pick = pref[cur]
+            taken[pick] = 1
+            cursors[who] = cur
+            turns.append(agent)
+            if agent == MANIPULATOR:
+                walk(i + 1, c, total + weight[pick])
+            else:
+                walk(i, c + 1, total)
+            turns.pop()
+            cursors[who] = start
+            taken[pick] = 0
+
+    walk(0, 0, 0)
+    assert best_weight is not None and best_policy is not None
+    _seq, strategy = greedy_alg(inst.with_policy(best_policy))
+    solution = _solution_from_strategy(inst, strategy)
+    if solution.utility != Fraction(best_weight, view.scale):
         raise RuntimeError(
             "internal error: greedy strategy of the best dominated policy does "
             "not recover the same utility on the original instance"
@@ -169,21 +235,101 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     return solution, best_policy
 
 
-def is_crucial(inst: Instance, budget: int | None = None) -> bool:
+def is_crucial(inst: Instance, budget: int | None = None, optimum: Fraction | None = None) -> bool:
     """Is every strictly dominated policy strictly worse at the optimum?
 
-    Vacuously true when the policy has no strict dominatee.  ``budget`` caps
-    each choice tree's states and the dominated-policy count; ``None`` keeps
-    each search's default.
+    Vacuously true when the policy has no strict dominatee.  ``optimum`` is
+    the instance's optimal utility when the caller has it already (as
+    :func:`choice_tree_best` returns it); ``None`` computes it with the
+    choice tree.  Each strictly dominated policy is then asked only whether
+    it reaches that optimum (:func:`_reaches`), which needs no optimum of
+    its own.  ``budget`` caps each search's states and the dominated-policy
+    count; ``None`` keeps each search's default.
     """
-    own = choice_tree_best(inst, budget=budget).utility
+    state_budget = _resolve_budget(budget, DEFAULT_STATE_BUDGET)
+    if optimum is None:
+        own = _choice_tree(inst, state_budget)[0]
+    else:
+        scaled = optimum * inst.view.scale
+        if scaled.denominator != 1:
+            raise ValueError(f"{optimum} is not a utility of this instance's bundles")
+        own = scaled.numerator
     for pol in _dominated_within_budget(inst, budget):
         if pol == inst.policy:
             continue
-        other = choice_tree_best(inst.with_policy(pol), budget=budget).utility
-        if other >= own:
+        if _reaches(inst.with_policy(pol), own, state_budget):
             return False
     return True
+
+
+def _reaches(inst: Instance, target: int, budget: int) -> bool:
+    """Can the manipulator end up with a bundle of weight at least
+    ``target`` (in the view's integer weights)?
+
+    An exhaustive search like the choice tree's, which stops at the first
+    bundle that reaches the target and drops a branch once even the
+    manipulator's best remaining items, one per remaining manipulator turn,
+    would fall short of it.  A state (the allocated set) that failed to
+    reach a weight fails for every larger one, so the memo keeps the
+    smallest weight each state failed to reach.  Raises
+    :class:`BudgetExceeded` after expanding more than ``budget`` states.
+    """
+    _require_headroom(inst.m)
+    m = inst.m
+    view = inst.view
+    weight = view.weight
+    prefs = view.prefs
+    pref1 = prefs[MANIPULATOR]
+    policy = inst.policy
+    # turns_left[pos]: manipulator turns at or after turn pos
+    turns_left = [0] * (m + 1)
+    for pos in range(m - 1, -1, -1):
+        turns_left[pos] = turns_left[pos + 1] + (policy[pos] == MANIPULATOR)
+    bits = [1 << i for i in range(m)]
+    failed: dict[int, int] = {}  # allocated set -> smallest weight it failed to reach
+    nodes = 0
+
+    def search(pos: int, taken: int, need: int) -> bool:
+        nonlocal nodes
+        if need <= 0:
+            return True
+        bound, turns = 0, turns_left[pos]
+        if turns:
+            for i in pref1:
+                if not taken & bits[i]:
+                    bound += weight[i]
+                    turns -= 1
+                    if not turns:
+                        break
+        if bound < need:
+            return False
+        floor = failed.get(taken)
+        if floor is not None and need >= floor:
+            return False
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"search expanded more than {budget} states; raise the budget to continue"
+            )
+        agent = policy[pos]
+        found = False
+        if agent != MANIPULATOR:
+            pref = prefs[agent]
+            j = 0
+            while taken & bits[pref[j]]:
+                j += 1
+            found = search(pos + 1, taken | bits[pref[j]], need)
+        else:
+            for i in pref1:
+                if not taken & bits[i]:
+                    found = search(pos + 1, taken | bits[i], need - weight[i])
+                    if found:
+                        break
+        if not found:
+            failed[taken] = need  # below any weight the state failed to reach before
+        return found
+
+    return search(0, 0, target)
 
 
 def achievable_bundles_exact(inst: Instance, target: frozenset) -> bool:

@@ -90,11 +90,12 @@ def dominates(p1: Sequence[Agent], p2: Sequence[Agent]) -> bool:
 
 def policy_from_positions(core: Sequence[Agent], positions: Sequence[int], length: int) -> Policy:
     """Rebuild a policy from its core and manipulator position vector."""
-    taken = set(positions)
-    out: list[Agent] = []
-    core_iter = iter(core)
-    for pos in range(1, length + 1):
-        out.append(MANIPULATOR if pos in taken else next(core_iter))
+    if len(core) + len(positions) != length:
+        raise ValueError(f"{len(core)} core turns and {len(positions)} positions do not make {length} turns")
+    out = list(core)
+    # In increasing order, each position already counts the turns inserted before it.
+    for pos in sorted(positions):
+        out.insert(pos - 1, MANIPULATOR)
     return tuple(out)
 
 
@@ -110,18 +111,19 @@ def enumerate_dominated(policy: Sequence[Agent]) -> Iterator[Policy]:
     z, core = dec.position_vector, dec.core
     m = len(policy)
     k = len(z)
-    if k == 0:
-        yield policy
-        return
-
-    def rec(i: int, min_pos: int, acc: tuple[int, ...]) -> Iterator[Policy]:
-        if i == k:
-            yield policy_from_positions(core, acc, m)
+    # An odometer over position vectors p with z[i] <= p[i] < p[i + 1] and
+    # room after p[i] for the k - 1 - i later turns; it starts at z itself.
+    positions = list(z)
+    while True:
+        yield policy_from_positions(core, positions, m)
+        i = k - 1
+        while i >= 0 and positions[i] == m - (k - 1 - i):
+            i -= 1
+        if i < 0:
             return
-        for pos in range(max(z[i], min_pos), m - (k - i) + 2):
-            yield from rec(i + 1, pos + 1, acc + (pos,))
-
-    yield from rec(0, 1, ())
+        positions[i] += 1
+        for j in range(i + 1, k):
+            positions[j] = max(z[j], positions[j - 1] + 1)
 
 
 def move_manipulator_turn(policy: Sequence[Agent], src: int, dst: int) -> Policy:

@@ -118,7 +118,7 @@ def check_spec(
     truthful = truthful_response(inst)
     greedy_seq, _ = greedy_alg(inst)
     greedy_utility = engine.manipulator_bundle(inst, greedy_seq).total_utility
-    crucial = is_crucial(inst, budget=budget) if check_crucial else None
+    crucial = is_crucial(inst, budget=budget, optimum=sol_tree.utility) if check_crucial else None
     return CheckRecord(
         spec=spec,
         n=inst.n_agents,

@@ -15,7 +15,7 @@ import pytest
 
 import seqmanip as sm
 from seqmanip import dp
-from seqmanip.oracle import choice_tree_best
+from seqmanip.oracle import _choice_tree, _reaches, choice_tree_best
 
 DENOMINATORS = (3, 7, 10, 12)
 
@@ -140,3 +140,22 @@ def test_choice_tree_fraction_ops_do_not_grow_with_nodes(monkeypatch):
         counts.append(sum(calls.values()))
         monkeypatch.undo()
     assert counts == [counts[0]] * len(counts) and counts[0] <= 2, counts
+
+
+def test_reaches_agrees_with_the_choice_tree_optimum():
+    """The bounded decision search behind ``is_crucial`` answers "optimum >=
+    target" exactly, on every dominated policy and at targets on both sides
+    of the optimum."""
+    for n, m, seed in MIXED_POOL[::3]:
+        inst = mixed_denominator_instance(n, m, seed)
+        own = _choice_tree(inst, 10**7)[0]
+        strictly_worse = True
+        for pol in sm.enumerate_dominated(inst.policy):
+            variant = inst.with_policy(pol)
+            best, _solution = _choice_tree(variant, 10**7)
+            targets = {0, best - 1, best, best + 1, *variant.view.weight}
+            for target in sorted(targets):
+                assert _reaches(variant, target, 10**7) == (best >= target), (n, m, seed, pol, target)
+            strictly_worse = strictly_worse and (pol == inst.policy or best < own)
+        optimum = Fraction(own, inst.view.scale)
+        assert sm.is_crucial(inst, optimum=optimum) == strictly_worse == sm.is_crucial(inst)

@@ -197,3 +197,81 @@ def test_crucial_optimum_multiplicity_logged_not_asserted():
             multiple += 1
             print(f"crucial instance seed={seed}: {len(optimal_traces)} optimal traces")
     print(f"crucial instances with multiple optimal traces: {multiple}")
+
+
+def _crucial_by_choice_tree(inst) -> bool:
+    """The definition, with one choice tree per strictly dominated policy."""
+    own = sm.choice_tree_best(inst).utility
+    return all(
+        sm.choice_tree_best(inst.with_policy(pol)).utility < own
+        for pol in sm.enumerate_dominated(inst.policy)
+        if pol != inst.policy
+    )
+
+
+def test_is_crucial_matches_the_choice_tree_definition():
+    crucial = 0
+    for inst, seed in random_instances(150, seed=23, agents=(2, 3), max_items=6):
+        expected = _crucial_by_choice_tree(inst)
+        assert sm.is_crucial(inst) == expected, f"seed={seed}"
+        optimum = sm.choice_tree_best(inst).utility
+        assert sm.is_crucial(inst, optimum=optimum) == expected, f"seed={seed}"
+        crucial += expected
+    assert 0 < crucial < 150
+
+
+def test_is_crucial_rejects_an_optimum_no_bundle_can_have(ex1):
+    with pytest.raises(ValueError):
+        sm.is_crucial(ex1, optimum=Fraction(17, 2))
+
+
+def test_is_crucial_budget_caps_the_dominated_searches(ex1):
+    optimum = sm.choice_tree_best(ex1).utility
+    with pytest.raises(sm.BudgetExceeded):
+        sm.is_crucial(ex1, budget=3, optimum=optimum)
+    assert not sm.is_crucial(ex1, optimum=optimum)
+
+
+def test_reaches_hits_the_optimum_exactly_on_the_exhaustive_n2_m5_pool():
+    # A state is often reached again with a different weight still needed;
+    # this pool has states whose best completion is exactly one less than
+    # the weight they failed to reach before.
+    from seqmanip import sweeps
+    from seqmanip.oracle import _choice_tree, _reaches
+
+    for spec in sweeps.iter_exhaustive_specs(2, 5, min_items=5):
+        inst = sweeps.build_instance(spec)
+        for pol in sm.enumerate_dominated(inst.policy):
+            variant = inst.with_policy(pol)
+            best = _choice_tree(variant, 10**7)[0]
+            assert _reaches(variant, best, 10**7) and not _reaches(variant, best + 1, 10**7), (spec, pol)
+
+
+def test_dominated_greedy_walk_matches_a_greedy_run_per_dominated_policy():
+    """The prefix-sharing walk picks what one greedy run per enumerated
+    dominated policy picks, ties to the first policy included."""
+    for inst, seed in random_instances(200, seed=31, agents=(2, 3, 4), max_items=8):
+        best_utility, best_policy = None, None
+        for pol in sm.enumerate_dominated(inst.policy):
+            trace, _strategy = sm.greedy_alg(inst.with_policy(pol))
+            utility = sm.manipulator_bundle(inst, trace).total_utility
+            if best_utility is None or utility > best_utility:
+                best_utility, best_policy = utility, pol
+        solution, certificate = sm.dominated_greedy_best(inst)
+        assert (solution.utility, certificate) == (best_utility, best_policy), f"seed={seed}"
+        _trace, strategy = sm.greedy_alg(inst.with_policy(certificate))
+        assert solution.strategy == strategy, f"seed={seed}"
+
+
+def test_dominated_greedy_ties_go_to_the_first_dominated_policy():
+    from seqmanip import sweeps
+
+    others = (("g1", "g2", "g3", "g4"), ("g1", "g3", "g4", "g2"))
+    inst = sweeps.build_instance(("exhaustive", 3, (1, 2, 3, 1), others))
+    utilities = [
+        sm.manipulator_bundle(inst, sm.greedy_alg(inst.with_policy(pol))[0]).total_utility
+        for pol in sm.enumerate_dominated(inst.policy)
+    ]
+    assert utilities == [5, 5, 4]
+    _solution, certificate = sm.dominated_greedy_best(inst)
+    assert certificate == inst.policy

@@ -158,3 +158,8 @@ def test_move_manipulator_turn():
         sm.move_manipulator_turn((1, 3, 2, 2, 1), 2, 3)  # position 2 is agent 3
     with pytest.raises(ValueError):
         sm.move_manipulator_turn((1, 3, 2, 2, 1), 1, 6)
+
+
+def test_policy_from_positions_rejects_counts_that_do_not_add_up():
+    with pytest.raises(ValueError):
+        policy_from_positions((3, 2, 2), (1, 5), 6)
