@@ -165,14 +165,13 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     The dominated policies are the orders of the instance's core turns and
     its manipulator turns in which the i-th manipulator turn comes no
     earlier than in the instance's policy.  They are walked as a tree of
-    turn prefixes, a manipulator turn before a core turn, which visits them
-    in enumeration order; a greedy turn depends only on the prefix before
-    it (a manipulator turn takes from the next core agent's ranking), so
-    policies that share a prefix share its allocation.  Raises
-    :class:`BudgetExceeded` past ``budget`` policies.
+    turn prefixes, depth first and a manipulator turn before a core turn,
+    which visits them in enumeration order.  A greedy turn depends only on
+    the prefix before it (a manipulator turn takes from the next core
+    agent's ranking), so policies that share a prefix share its allocation.
+    Raises :class:`BudgetExceeded` past ``budget`` policies.
     """
     budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
-    _require_headroom(inst.m)
     m = inst.m
     view = inst.view
     weight, prefs = view.weight, view.prefs
@@ -181,49 +180,65 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     k, m_core = len(z), len(core)
     taken = bytearray(m)
     cursors = dict.fromkeys(prefs, 0)  # per ranking, as in engine._allocate
-    turns: list[int] = []  # the policy prefix on the branch being walked
+    turns: list[int] = []  # the policy prefix being walked
+    undo: list[tuple[int, int, int]] = []  # per turn of it: (item, whose cursor moved, its old value)
+    i = c = total = 0  # the prefix's manipulator and core turns and its greedy bundle's weight
     best_weight: int | None = None
     best_policy: Policy | None = None
     count = 0
 
-    def walk(i: int, c: int, total: int) -> None:
-        """Walk every completion of a prefix with ``i`` manipulator and
-        ``c`` core turns, whose greedy bundle weighs ``total``."""
-        nonlocal best_weight, best_policy, count
-        t = i + c
-        if t == m:
-            count += 1
-            if count > budget:
-                raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
-            if best_weight is None or total > best_weight:
-                best_weight, best_policy = total, tuple(turns)
-            return
-        # (whose turn, whose ranking it takes from): a manipulator turn, if
-        # the i-th may come this late, takes from the next core agent's.
-        options = []
-        if i < k and t + 1 >= z[i]:
-            options.append((MANIPULATOR, core[c] if c < m_core else MANIPULATOR))
-        if c < m_core:
-            options.append((core[c], core[c]))
-        for agent, who in options:
-            pref = prefs[who]
-            start = cursors[who]
-            cur = start
-            while taken[pref[cur]]:
-                cur += 1
-            pick = pref[cur]
-            taken[pick] = 1
-            cursors[who] = cur
-            turns.append(agent)
-            if agent == MANIPULATOR:
-                walk(i + 1, c, total + weight[pick])
-            else:
-                walk(i, c + 1, total)
-            turns.pop()
-            cursors[who] = start
-            taken[pick] = 0
+    def push(agent: int) -> None:
+        """Append a turn of ``agent`` to the prefix and make its greedy pick."""
+        nonlocal i, c, total
+        # A manipulator turn takes from the next core agent's ranking.
+        who = agent if agent != MANIPULATOR else core[c] if c < m_core else MANIPULATOR
+        pref = prefs[who]
+        cur = old = cursors[who]
+        while taken[pref[cur]]:
+            cur += 1
+        item = pref[cur]
+        taken[item] = 1
+        cursors[who] = cur
+        turns.append(agent)
+        undo.append((item, who, old))
+        if agent == MANIPULATOR:
+            i += 1
+            total += weight[item]
+        else:
+            c += 1
 
-    walk(0, 0, 0)
+    def pop() -> int:
+        """Take the prefix's last turn back; returns whose it was."""
+        nonlocal i, c, total
+        item, who, old = undo.pop()
+        taken[item] = 0
+        cursors[who] = old
+        agent = turns.pop()
+        if agent == MANIPULATOR:
+            i -= 1
+            total -= weight[item]
+        else:
+            c -= 1
+        return agent
+
+    # Depth first without recursion, so that no policy is too long for it.
+    while True:
+        # Complete the prefix with each turn's first option: a manipulator
+        # turn when the i-th may come this late, else a core turn.
+        while len(turns) < m:
+            push(MANIPULATOR if i < k and len(turns) + 1 >= z[i] else core[c])
+        count += 1
+        if count > budget:
+            raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
+        if best_weight is None or total > best_weight:
+            best_weight, best_policy = total, tuple(turns)
+        # Back up to the last manipulator turn that could be a core turn.
+        while turns:
+            if pop() == MANIPULATOR and c < m_core:
+                push(core[c])
+                break
+        else:
+            break
     assert best_weight is not None and best_policy is not None
     _seq, strategy = greedy_alg(inst.with_policy(best_policy))
     solution = _solution_from_strategy(inst, strategy)

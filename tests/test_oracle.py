@@ -275,3 +275,14 @@ def test_dominated_greedy_ties_go_to_the_first_dominated_policy():
     assert utilities == [5, 5, 4]
     _solution, certificate = sm.dominated_greedy_best(inst)
     assert certificate == inst.policy
+
+
+def test_dominated_greedy_walks_policies_longer_than_the_recursion_limit():
+    import sys
+
+    m = sys.getrecursionlimit() + 100
+    inst = sm.generate_random_instance(2, m, seed=2).with_policy([2] * (m - 2) + [1, 2])
+    solution, certificate = sm.dominated_greedy_best(inst)
+    assert certificate in (inst.policy, (2,) * (m - 1) + (1,))
+    trace, _strategy = sm.greedy_alg(inst.with_policy(certificate))
+    assert solution.utility == sm.manipulator_bundle(inst, trace).total_utility
