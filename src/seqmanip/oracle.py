@@ -5,21 +5,18 @@ picks, and greedy runs over every dominated policy.  Either one pins down
 the manipulator's optimal utility; agreeing with each other and with the
 dynamic program is the core cross-validation of this package.
 :func:`is_crucial` takes the optimum from the choice tree and asks each
-dominated policy only whether it reaches it, by the same exhaustive
-branching cut off by a bound (:func:`_reaches`).  The searches work on the
-instance's integer view.  The choice tree and :func:`_reaches` hold the
-allocated set as an int with bit ``i`` set when item ``i`` is taken: it is
-their memo key, cheaper to extend and to hash than a byte mask, and it stays
-short because both searches are exponential in m.  The other searches use
-a byte mask.  Their recursion is one level per turn, so instances too long
-for the interpreter's recursion limit raise :class:`BudgetExceeded`.
+dominated policy only whether it reaches it (:func:`_reaches`).  The
+exhaustive searches go turn by turn over the allocated sets reachable so
+far, each held as an int with bit ``i`` set when item ``i`` is taken: a
+non-manipulator turn is forced and a manipulator turn branches over its
+picks.  No search recurses, so only a budget limits an instance's length.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Sequence
 
 from . import engine
 from .engine import (
@@ -35,37 +32,64 @@ from .policy import Policy, decompose, enumerate_dominated
 
 DEFAULT_POLICY_BUDGET = 10**6
 
-# Frames kept free below the recursion limit for the calls a search level
-# makes besides its own recursion (the top-remaining scan, sorting).
-_FRAME_MARGIN = 50
+
+def _top(pref: Sequence[int], taken: int, bits: list[int]) -> int:
+    """The first item index in ``pref`` that is not in the allocated set
+    ``taken``; the caller guarantees one exists."""
+    j = 0
+    while taken & bits[pref[j]]:
+        j += 1
+    return pref[j]
 
 
-def _require_headroom(depth: int) -> None:
-    """Raise :class:`BudgetExceeded` unless ``depth`` more nested search
-    levels fit under the interpreter's recursion limit."""
-    used = 0
-    frame = sys._getframe()
-    while frame is not None:
-        used += 1
-        frame = frame.f_back
-    if used + depth + _FRAME_MARGIN > sys.getrecursionlimit():
-        raise BudgetExceeded(
-            f"search depth {depth} exceeds the interpreter's recursion headroom "
-            f"({sys.getrecursionlimit() - used - _FRAME_MARGIN} levels)"
-        )
+def _reachable(inst: Instance, picks: Sequence[int], budget: int) -> list[set[int]]:
+    """The allocated sets reachable before each turn and after the last,
+    when every manipulator turn takes one of the item indices ``picks``.
+
+    Raises :class:`BudgetExceeded` once the sets before the last turn number
+    more than ``budget``.  The count is checked after each set's successors
+    are added, so a layer that would outgrow the budget is never finished.
+    """
+    m = inst.m
+    prefs = inst.view.prefs
+    bits = [1 << i for i in range(m)]
+    pick_bits = [bits[i] for i in picks]
+    layers = [{0}]
+    count = 1
+    for pos, agent in enumerate(inst.policy):
+        if pos + 1 < m:
+            room = budget - count
+        else:  # the sets after the last turn are not counted
+            room = math.inf if count <= budget else -1
+        nxt: set[int] = set()
+        add = nxt.add
+        for taken in layers[pos]:
+            if agent == MANIPULATOR:
+                for bit in pick_bits:
+                    if not taken & bit:
+                        add(taken | bit)
+            else:
+                add(taken | bits[_top(prefs[agent], taken, bits)])
+            if len(nxt) > room:
+                raise BudgetExceeded(
+                    f"search reached more than {budget} allocated sets; raise the budget to continue"
+                )
+        count += len(nxt)
+        layers.append(nxt)
+    return layers
 
 
 def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
     """Exact optimum by branching over every remaining item at every
     manipulator turn (non-manipulator turns are forced).
 
-    States are memoised on the set of allocated items, which determines the
-    position and the remaining subproblem.  A memo entry holds the best
-    utility of the rest in the view's integer weights; the optimum becomes
-    a ``Fraction`` once, for the rebuild check.  Raises
-    :class:`BudgetExceeded` after expanding more than ``budget`` states
-    (default 10**7, overridable via the ``SEQMANIP_BUDGET`` environment
-    variable).
+    A forward pass collects the allocated sets reachable before each turn,
+    and a backward pass gives each set the best rest of its bundle (see
+    :func:`_choice_tree`) in the view's integer weights; the optimum
+    becomes a ``Fraction`` once, for the rebuild check.  Raises
+    :class:`BudgetExceeded` once the allocated sets before the last turn
+    number more than ``budget`` (default 10**7, overridable via the
+    ``SEQMANIP_BUDGET`` environment variable).
 
     Ties between optimal bundles break towards the bundle whose items rank
     lexicographically best in the manipulator's own ranking, making the
@@ -76,83 +100,59 @@ def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
 
 def _choice_tree(inst: Instance, budget: int) -> tuple[int, Solution]:
     """:func:`choice_tree_best` with its budget resolved; also returns the
-    optimum as an integer weight of the instance's view."""
-    _require_headroom(inst.m)
+    optimum as an integer weight of the instance's view.
+
+    Item ``i``'s key is its weight shifted left by m bits, plus bit
+    ``m - 1 - r`` for its rank ``r`` in the manipulator's ranking.  Every
+    bundle left from one allocated set has the same size, so the larger key
+    sum is the larger weight or, on a tie, the bundle holding the better
+    ranked item where the two differ: the lexicographically smallest sorted
+    rank tuple.
+    """
     m = inst.m
     view = inst.view
-    weight = view.weight
     rank1 = view.rank[MANIPULATOR]
     prefs = view.prefs
     policy = inst.policy
     bits = [1 << i for i in range(m)]
-    # allocated set -> (weight of the rest's bundle, its sorted manipulator ranks, item picked)
-    memo: dict[int, tuple[int, tuple[int, ...], int]] = {}
-    nodes = 0
-    leaf = (0, (), -1)
-
-    def solve(pos: int, taken: int) -> tuple[int, tuple[int, ...], int]:
-        """Expand the state at turn ``pos < m``, which is not in the memo.
-        A child that is a leaf or a memo hit is looked up here, not called."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(
-                f"choice tree expanded more than {budget} states; raise the budget to continue"
-            )
-        last = pos + 1 == m
+    key = [(w << m) | (1 << (m - 1 - r)) for w, r in zip(view.weight, rank1)]
+    key_bits = list(zip(key, bits))
+    layers = _reachable(inst, range(m), budget)
+    best = dict.fromkeys(layers[m], 0)  # allocated set -> best key sum of the rest of the bundle
+    for pos in range(m - 1, -1, -1):
         agent = policy[pos]
-        if agent != MANIPULATOR:
-            pref = prefs[agent]
-            j = 0
-            while taken & bits[pref[j]]:
-                j += 1
-            pick = pref[j]
-            child = taken | bits[pick]
-            sub = leaf if last else memo.get(child) or solve(pos + 1, child)
-            result = (sub[0], sub[1], pick)
+        if agent == MANIPULATOR:
+            for taken in layers[pos]:
+                top = 0
+                for k, bit in key_bits:
+                    if not taken & bit:
+                        total = k + best[taken | bit]
+                        if total > top:
+                            top = total
+                best[taken] = top
         else:
-            best: tuple[int, tuple[int, ...], int] | None = None
-            for i in range(m):
-                if taken & bits[i]:
-                    continue
-                child = taken | bits[i]
-                sub_util, sub_bundle, _ = leaf if last else memo.get(child) or solve(pos + 1, child)
-                cand_util = weight[i] + sub_util
-                # Only a candidate that can win or tie needs its bundle's ranks.
-                if best is not None and cand_util < best[0]:
-                    continue
-                cand_bundle = tuple(sorted(sub_bundle + (rank1[i],)))
-                if best is None or cand_util > best[0] or cand_bundle < best[1]:
-                    best = (cand_util, cand_bundle, i)
-            assert best is not None
-            result = best
-        memo[taken] = result
-        return result
-
-    best_util, best_ranks, _ = solve(0, 0) if m else leaf
-    # Rebuild the chosen trace by following the memoised picks.
+            pref = prefs[agent]
+            for taken in layers[pos]:
+                best[taken] = best[taken | bits[_top(pref, taken, bits)]]
+    # Rebuild the chosen trace: at each manipulator turn, the first item
+    # index on an optimal path.
     steps = []
     taken = 0
     for agent in policy:
-        pick = memo[taken][2]
+        if agent == MANIPULATOR:
+            pick = next(
+                i for i in range(m) if not taken & bits[i] and key[i] + best[taken | bits[i]] == best[taken]
+            )
+        else:
+            pick = _top(prefs[agent], taken, bits)
         steps.append((inst.items[pick], agent))
         taken |= bits[pick]
-    seq = tuple(steps)
-    solution = _solution_from_strategy(inst, engine.strategy_from_sequence(inst, seq))
-    bundle_ranks = {rank1[view.index[item]] for item in solution.bundle.items}
-    if solution.utility != Fraction(best_util, view.scale) or bundle_ranks != set(best_ranks):
-        raise RuntimeError("internal error: rebuilt trace does not match the memoised optimum")
-    return best_util, solution
-
-
-def _dominated_within_budget(inst: Instance, budget: int | None) -> Iterator[Policy]:
-    """The policies dominated by the instance's own, in enumeration order;
-    raises :class:`BudgetExceeded` past the policy budget."""
-    budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
-    for count, pol in enumerate(enumerate_dominated(inst.policy), start=1):
-        if count > budget:
-            raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
-        yield pol
+    solution = _solution_from_strategy(inst, engine.strategy_from_sequence(inst, tuple(steps)))
+    optimum = best[0] >> m
+    ranks = sum(1 << (m - 1 - rank1[view.index[item]]) for item in solution.bundle.items)
+    if solution.utility != Fraction(optimum, view.scale) or ranks != best[0] & ((1 << m) - 1):
+        raise RuntimeError("internal error: rebuilt trace does not match the optimum of the backward pass")
+    return optimum, solution
 
 
 def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[Solution, Policy]:
@@ -258,10 +258,11 @@ def is_crucial(inst: Instance, budget: int | None = None, optimum: Fraction | No
     :func:`choice_tree_best` returns it); ``None`` computes it with the
     choice tree.  Each strictly dominated policy is then asked only whether
     it reaches that optimum (:func:`_reaches`), which needs no optimum of
-    its own.  ``budget`` caps each search's states and the dominated-policy
-    count; ``None`` keeps each search's default.
+    its own.  ``budget`` caps each search's allocated sets and the
+    dominated-policy count; ``None`` keeps each search's default.
     """
     state_budget = _resolve_budget(budget, DEFAULT_STATE_BUDGET)
+    policy_budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
     if optimum is None:
         own = _choice_tree(inst, state_budget)[0]
     else:
@@ -269,10 +270,10 @@ def is_crucial(inst: Instance, budget: int | None = None, optimum: Fraction | No
         if scaled.denominator != 1:
             raise ValueError(f"{optimum} is not a utility of this instance's bundles")
         own = scaled.numerator
-    for pol in _dominated_within_budget(inst, budget):
-        if pol == inst.policy:
-            continue
-        if _reaches(inst.with_policy(pol), own, state_budget):
+    for count, pol in enumerate(enumerate_dominated(inst.policy), start=1):
+        if count > policy_budget:
+            raise BudgetExceeded(f"dominated-policy enumeration exceeded {policy_budget} policies")
+        if pol != inst.policy and _reaches(inst.with_policy(pol), own, state_budget):
             return False
     return True
 
@@ -281,108 +282,75 @@ def _reaches(inst: Instance, target: int, budget: int) -> bool:
     """Can the manipulator end up with a bundle of weight at least
     ``target`` (in the view's integer weights)?
 
-    An exhaustive search like the choice tree's, which stops at the first
-    bundle that reaches the target and drops a branch once even the
-    manipulator's best remaining items, one per remaining manipulator turn,
-    would fall short of it.  A state (the allocated set) that failed to
-    reach a weight fails for every larger one, so the memo keeps the
-    smallest weight each state failed to reach.  Raises
-    :class:`BudgetExceeded` after expanding more than ``budget`` states.
+    A forward pass like :func:`_reachable`'s that keeps, for each reachable
+    allocated set, the most weight the manipulator can hold on reaching it.
+    It returns at the first pick that reaches the target, and drops a set
+    once even the manipulator's best remaining items, one per remaining
+    manipulator turn, would leave its weight short of the target.  Raises
+    :class:`BudgetExceeded` once it keeps more than ``budget`` allocated
+    sets, the empty one it starts from included.
     """
-    _require_headroom(inst.m)
+    if target <= 0:
+        return True
     m = inst.m
     view = inst.view
     weight = view.weight
     prefs = view.prefs
     pref1 = prefs[MANIPULATOR]
-    policy = inst.policy
-    # turns_left[pos]: manipulator turns at or after turn pos
-    turns_left = [0] * (m + 1)
-    for pos in range(m - 1, -1, -1):
-        turns_left[pos] = turns_left[pos + 1] + (policy[pos] == MANIPULATOR)
     bits = [1 << i for i in range(m)]
-    failed: dict[int, int] = {}  # allocated set -> smallest weight it failed to reach
-    nodes = 0
-
-    def search(pos: int, taken: int, need: int) -> bool:
-        nonlocal nodes
-        if need <= 0:
-            return True
-        bound, turns = 0, turns_left[pos]
-        if turns:
-            for i in pref1:
-                if not taken & bits[i]:
-                    bound += weight[i]
-                    turns -= 1
-                    if not turns:
-                        break
-        if bound < need:
-            return False
-        floor = failed.get(taken)
-        if floor is not None and need >= floor:
-            return False
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(
-                f"search expanded more than {budget} states; raise the budget to continue"
-            )
-        agent = policy[pos]
-        found = False
-        if agent != MANIPULATOR:
-            pref = prefs[agent]
-            j = 0
-            while taken & bits[pref[j]]:
-                j += 1
-            found = search(pos + 1, taken | bits[pref[j]], need)
-        else:
-            for i in pref1:
-                if not taken & bits[i]:
-                    found = search(pos + 1, taken | bits[i], need - weight[i])
-                    if found:
-                        break
-        if not found:
-            failed[taken] = need  # below any weight the state failed to reach before
-        return found
-
-    return search(0, 0, target)
+    layer = {0: 0}  # allocated set -> the most weight held on reaching it
+    kept = 1
+    turns = inst.k1  # manipulator turns not yet taken
+    for agent in inst.policy:
+        mine = agent == MANIPULATOR
+        turns -= mine  # now those after this one
+        nxt: dict[int, int] = {}
+        for taken, held in layer.items():
+            for i in pref1 if mine else (_top(prefs[agent], taken, bits),):
+                if taken & bits[i]:
+                    continue
+                child = taken | bits[i]
+                total = held + weight[i] if mine else held
+                if total >= target:
+                    return True
+                old = nxt.get(child)
+                if old is not None:
+                    nxt[child] = max(old, total)
+                    continue
+                # The child's bound: its weight plus its best free items, one
+                # per manipulator turn left.  Along pref1 it never rises, so
+                # the first pick that falls short ends the set's picks.
+                bound, left = total, turns
+                if left:
+                    for j in pref1:
+                        if not child & bits[j]:
+                            bound += weight[j]
+                            left -= 1
+                            if not left:
+                                break
+                if bound < target:
+                    break
+                kept += 1
+                if kept > budget:
+                    raise BudgetExceeded(
+                        f"search kept more than {budget} allocated sets; raise the budget to continue"
+                    )
+                nxt[child] = total
+        layer = nxt
+    return False
 
 
 def achievable_bundles_exact(inst: Instance, target: frozenset) -> bool:
     """Can the manipulator end up with exactly ``target``?
 
     Independent decision procedure used to cross-check the reduction in
-    :mod:`seqmanip.responses`: depth-first search over manipulator picks
-    restricted to the target set (a pick outside it can never produce the
-    exact bundle), with non-manipulator turns forced.
+    :mod:`seqmanip.responses`: the forward pass of :func:`_reachable` with
+    manipulator picks restricted to the target set (a pick outside it can
+    never produce the exact bundle) and non-manipulator turns forced.  The
+    bundle is achievable when some allocated set survives the last turn.
+    Raises :class:`BudgetExceeded` past the default state budget.
     """
     if len(target) != inst.k1:
         return False
-    _require_headroom(inst.m)
-    view = inst.view
-    target_idx = [view.index[item] for item in sorted(target)]
-    policy = inst.policy
-    m = inst.m
-    taken = bytearray(m)  # the allocated set on the branch being explored
-    seen: set[bytes] = set()
-
-    def search(pos: int) -> bool:
-        if pos == m:
-            return True
-        key = bytes(taken)
-        if key in seen:
-            return False
-        agent = policy[pos]
-        if agent != MANIPULATOR:
-            picks = [view.top(agent, taken)]
-        else:
-            picks = [i for i in target_idx if not taken[i]]
-        for i in picks:
-            taken[i] = 1
-            found = search(pos + 1)
-            taken[i] = 0
-            if found:
-                return True
-        seen.add(key)
-        return False
-
-    return search(0)
+    picks = [inst.view.index[item] for item in target]
+    return bool(_reachable(inst, picks, _resolve_budget(None, DEFAULT_STATE_BUDGET))[-1])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
@@ -171,11 +170,13 @@ class SweepSummary:
 
 def _starmap(fn: Callable, arg_tuples: Iterable[tuple], workers: int, chunk_size: int) -> Iterator:
     """``itertools.starmap`` in input order, over a process pool in chunks of
-    ``chunk_size`` when ``workers > 1``.  The serial path starts no pool and
-    pulls its arguments lazily."""
+    ``chunk_size`` when ``workers > 1``.  The serial path starts no pool,
+    does not import one, and pulls its arguments lazily."""
     if workers <= 1:
         yield from itertools.starmap(fn, arg_tuples)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # Executor.map takes one iterable per parameter: transpose the tuples.
         yield from pool.map(fn, *zip(*arg_tuples), chunksize=chunk_size)

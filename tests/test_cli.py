@@ -85,14 +85,18 @@ def test_oracle_budget_exit_code(capsys, ex1_path):
 
 
 def test_oracle_too_deep_exits_budget_without_traceback(tmp_path):
+    # 1200 turns: the choice tree's sets outgrow the budget long before its last turn.
     path = tmp_path / "deep.json"
     path.write_text(sm.serialize_instance(sm.generate_random_instance(2, 1200, seed=1)), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "seqmanip", "oracle", str(path)], capture_output=True, text=True
+        [sys.executable, "-m", "seqmanip", "oracle", str(path), "--budget", "100000"],
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 3
-    assert "recursion" in proc.stderr
+    assert "more than 100000 allocated sets" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_solve_state_budget_exits_budget_without_traceback(tmp_path):

@@ -61,17 +61,22 @@ def test_choice_tree_matches_brute_force_random():
 
 
 def test_choice_tree_tie_break_smallest_bundle_wins():
-    # u(a)+u(d) == u(b)+u(c); agent 3's ranking decides which are reachable.
-    # Whenever both optima are reachable the bundle holding a must win.
+    # The manipulator's first and fourth items are worth as much as its second
+    # and third; agent 2 ranks like it, and agent 3's ranking decides which
+    # are reachable.  Whenever both optima are reachable the bundle holding
+    # its first item must win.  In the second row item-index order is not the
+    # manipulator's rank order.
     items = ["a", "b", "c", "d"]
-    utility = {"a": 5, "b": 4, "c": 3, "d": 2}
-    ties = 0
-    for r3 in itertools.permutations(items):
-        inst = sm.make_instance(
-            items, 3, (1, 2, 3, 1), {1: tuple(items), 2: tuple(items), 3: r3}, utility
-        )
-        ties += _assert_tree_matches_brute_force(inst)
-    assert ties >= 4
+    rows = [
+        (("a", "b", "c", "d"), {"a": 5, "b": 4, "c": 3, "d": 2}),
+        (("d", "c", "b", "a"), {"d": 5, "c": 4, "b": 3, "a": 2}),
+    ]
+    for ranking, utility in rows:
+        ties = 0
+        for r3 in itertools.permutations(items):
+            inst = sm.make_instance(items, 3, (1, 2, 3, 1), {1: ranking, 2: ranking, 3: r3}, utility)
+            ties += _assert_tree_matches_brute_force(inst)
+        assert ties >= 4, ranking
 
 
 def test_choice_tree_tie_break_pinned_example():
@@ -85,6 +90,24 @@ def test_choice_tree_tie_break_pinned_example():
     sol = sm.choice_tree_best(inst)
     assert sol.utility == Fraction(7)  # both {a,d} and {b,c} reach 7
     assert sol.bundle.items == {"a", "d"}
+
+
+def _sets_before_each_turn(inst) -> int:
+    """Distinct allocated sets before turns 0..m-1 over every strategy."""
+    sets = set()
+    for strategy in itertools.permutations(inst.items):
+        trace = sm.execute(inst, strategy)
+        sets.update(frozenset(item for item, _agent in trace[:pos]) for pos in range(inst.m))
+    return len(sets)
+
+
+def test_choice_tree_budget_counts_the_sets_before_each_turn(ex1):
+    instances = [ex1] + [inst for inst, _seed in random_instances(20, seed=29, agents=(2, 3), max_items=6)]
+    for inst in instances:
+        count = _sets_before_each_turn(inst)
+        sm.choice_tree_best(inst, budget=count)
+        with pytest.raises(sm.BudgetExceeded):
+            sm.choice_tree_best(inst, budget=count - 1)
 
 
 def test_dominated_greedy_example1(ex1):
@@ -286,3 +309,15 @@ def test_dominated_greedy_walks_policies_longer_than_the_recursion_limit():
     assert certificate in (inst.policy, (2,) * (m - 1) + (1,))
     trace, _strategy = sm.greedy_alg(inst.with_policy(certificate))
     assert solution.utility == sm.manipulator_bundle(inst, trace).total_utility
+
+
+def test_no_search_has_a_depth_limit():
+    import sys
+
+    m = sys.getrecursionlimit() + 100
+    inst = sm.generate_random_instance(2, m, seed=2).with_policy([2] * (m - 2) + [1, 2])
+    tree = sm.choice_tree_best(inst)
+    dominated, _certificate = sm.dominated_greedy_best(inst)
+    assert tree.utility == dominated.utility == sm.best_response_with_table(inst)[0].utility
+    assert sm.is_crucial(inst) == _crucial_by_choice_tree(inst)
+    assert achievable_bundles_exact(inst, tree.bundle.items)

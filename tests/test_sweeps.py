@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,14 @@ def test_sweep_parallel_matches_serial():
     assert serial.checked == parallel.checked == 59
     assert serial.ok and parallel.ok
     assert serial.crucial_count == parallel.crucial_count
+
+
+def test_importing_the_cli_does_not_import_the_process_pool():
+    # Only a sweep with workers > 1 needs it; `seqmanip solve` never does.
+    code = "import sys, seqmanip.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_bench_rows_deterministic_and_parallel():
