@@ -2,9 +2,9 @@
 
 JSON goes to standard output, logs to standard error.  Exit codes: 0 on
 success, 1 on invalid input, 2 on an internal verification mismatch (the
-dynamic program disagreeing with an oracle, which must never happen), 3 when
-a search budget (the dynamic program's states, an oracle's states or
-policies) is exceeded.
+dynamic program disagreeing with an oracle, or a solver's self-check
+failing, which must never happen), 3 when a search budget (the dynamic
+program's states, an oracle's states or policies) is exceeded.
 """
 
 from __future__ import annotations
@@ -334,6 +334,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         _log(f"error: {exc}")
         return EXIT_BUDGET
+    except RuntimeError as exc:
+        # A solver's self-check failed: a bug, reported like an oracle mismatch.
+        if not str(exc).startswith("internal error"):
+            raise
+        _log(f"error: {exc}")
+        return EXIT_MISMATCH
     except InstanceError as exc:
         _log(f"error: {exc}")
         return EXIT_INVALID

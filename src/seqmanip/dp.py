@@ -13,10 +13,13 @@ stores the best utility reaching its state, the predecessor state and the
 segment's q; of two candidates with equal utility the smaller (q, pred)
 wins.  During the build, utilities are the instance view's integer weights
 (each utility times ``view.scale``), so every sum and comparison is on
-Python ints; the table is returned with each utility as a ``Fraction``,
-made once per stored state.  Allocated item sets (byte masks over the
-instance's integer view) are carried stage-to-stage during construction and
-rebuilt later by replaying backpointers through the same stage step.
+Python ints.  Within a stage a state is one int key, and an entry's
+:class:`DPState` and ``Fraction`` are made once per stored state.  The
+stage agent's scan starts at its last rank: it picks greedily, so every
+item it ranks higher was taken by then.  Allocated item sets (byte masks
+over the instance's integer view) are carried stage-to-stage during
+construction and rebuilt later by replaying backpointers through the same
+stage step.
 :func:`best_response_with_table` is the one solver: it returns the optimum
 together with the table, and stops with :class:`BudgetExceeded` once the
 table would hold more states than its budget.
@@ -73,62 +76,76 @@ def _build(
     """Fill the table; returns it plus, for each state of the final stage,
     its utility as an integer weight and its allocated-item set (needed to
     complete solutions).  Raises :class:`BudgetExceeded` when the table
-    would store more than ``budget`` states."""
+    would store more than ``budget`` states.
+
+    Within a stage a state ``(y, i2..in)`` is one int key: ``y`` in the top
+    bits, then each last rank in a field ``m.bit_length()`` bits wide.  Every
+    field is at most m, so keys order as their states do, and a candidate's
+    key is its predecessor's with ``y`` raised by q and the stage agent's
+    field replaced.  A stage's survivors become :class:`DPState` entries
+    when the stage ends.  The stage agent's scan starts at its last rank:
+    it picked greedily, so every item it ranks above its last pick was
+    taken then."""
     dec = decompose(inst.policy)
-    core = dec.core
     n = inst.n_agents
     m = inst.m
     view = inst.view
     weight = view.weight
+    scale = view.scale
+    bits = m.bit_length()
+    low = (1 << bits) - 1
+    y_shift = (n - 1) * bits
+    y_unit = 1 << y_shift
+    # Where each of i2..in sits in a key, and placed[a][i]: agent a's field
+    # holding item i as its last pick.
+    shifts = {agent: (n - agent) * bits for agent in range(2, n + 1)}
+    placed = {agent: [(r + 1) << shifts[agent] for r in view.rank[agent]] for agent in set(dec.core)}
     base = DPState(0, 0, (0,) * (n - 1))
-    # Entries hold integer weights until the table is returned.
-    table: dict[DPState, DPEntry] = {base: DPEntry(0, None, 0)}
-    masks: dict[DPState, bytes] = {base: bytes(m)}
+    table: dict[DPState, DPEntry] = {base: DPEntry(Fraction(0), None, 0)}
+    # The previous stage: key -> (weight, pred key, q, allocated set).
+    stage: dict[int, tuple[int, int, int, bytes]] = {0: (0, 0, 0, bytes(m))}
+    states: dict[int, DPState] = {0: base}
     for x in range(1, dec.m_prime + 1):
-        stage_agent = core[x - 1]
-        coord = stage_agent - 2
+        stage_agent = dec.core[x - 1]
         k_x = dec.k_prefix[x]
-        rank = view.rank[stage_agent]
-        new_masks: dict[DPState, bytes] = {}
-        for pred_state, pred_taken in masks.items():
-            pred_utility = table[pred_state].utility
-            y0 = pred_state.y
-            remaining = m - (x - 1) - y0
-            q_max = min(k_x - y0, remaining - 1)
-            if q_max < 0:
-                continue
-            tops = _stage_tops(inst, stage_agent, pred_taken, q_max + 1)
-            last = pred_state.last_rank
+        pref = view.prefs[stage_agent]
+        agent_placed = placed[stage_agent]
+        shift = shifts[stage_agent]
+        clear = ~(low << shift)
+        new_stage: dict[int, tuple[int, int, int, bytes]] = {}
+        for pred_key, (pred_weight, _, _, pred_taken) in stage.items():
+            y0 = pred_key >> y_shift
+            pos = (pred_key >> shift) & low
+            key = pred_key & clear
             taken = bytearray(pred_taken)
-            taken_util = 0
-            for q, received in enumerate(tops):
+            cand_weight = pred_weight
+            for q in range(min(k_x - y0, m - x - y0) + 1):
+                while taken[pref[pos]]:
+                    pos += 1
+                received = pref[pos]
                 taken[received] = 1
-                state = DPState(
-                    x, y0 + q, last[:coord] + (rank[received] + 1,) + last[coord + 1 :]
-                )
-                cand_utility = pred_utility + taken_util
-                incumbent = table.get(state)
-                if incumbent is None and len(table) >= budget:
+                cand = key + agent_placed[received]
+                incumbent = new_stage.get(cand)
+                if incumbent is None and len(table) + len(new_stage) >= budget:
                     raise BudgetExceeded(
                         f"dynamic program would store more than {budget} states; raise the budget to continue"
                     )
                 if (
                     incumbent is None
-                    or cand_utility > incumbent.utility
-                    or (
-                        cand_utility == incumbent.utility
-                        and (q, pred_state) < (incumbent.q, incumbent.pred)
-                    )
+                    or cand_weight > incumbent[0]
+                    or (cand_weight == incumbent[0] and (q, pred_key) < (incumbent[2], incumbent[1]))
                 ):
-                    table[state] = DPEntry(cand_utility, pred_state, q)
-                    new_masks[state] = bytes(taken)
-                taken_util += weight[received]
-        masks = new_masks
-    final = {state: (table[state].utility, taken) for state, taken in masks.items()}
-    scale = view.scale
-    # In place, so that the weights' entries are freed as they are replaced.
-    for state, e in table.items():
-        table[state] = DPEntry(Fraction(e.utility, scale), e.pred, e.q)
+                    new_stage[cand] = (cand_weight, pred_key, q, bytes(taken))
+                cand_weight += weight[received]
+                key += y_unit
+                pos += 1
+        new_states: dict[int, DPState] = {}
+        for key, (w, pred_key, q, _) in new_stage.items():
+            state = DPState(x, key >> y_shift, tuple([(key >> s) & low for s in shifts.values()]))
+            new_states[key] = state
+            table[state] = DPEntry(Fraction(w, scale), states[pred_key], q)
+        stage, states = new_stage, new_states
+    final = {states[key]: (w, taken) for key, (w, _, _, taken) in stage.items()}
     return table, final
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import seqmanip as sm
+from seqmanip import dp
 from seqmanip.cli import main
 from _util import example1_document
 
@@ -109,6 +110,21 @@ def test_solve_state_budget_exits_budget_without_traceback(tmp_path):
     assert "dynamic program would store more than 10 states" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_failed_self_check_exits_mismatch_without_traceback(capsys, monkeypatch, ex1_path):
+    real_build = dp._build
+
+    def skewed_build(inst, budget):
+        table, final = real_build(inst, budget)
+        # Every final weight off by one, so the optimum's replay disagrees.
+        return table, {state: (w + 1, taken) for state, (w, taken) in final.items()}
+
+    monkeypatch.setattr(dp, "_build", skewed_build)
+    code, out, err = run_cli(capsys, "solve", ex1_path)
+    assert code == 2
+    assert "error: internal error" in err
+    assert out == ""
 
 
 def test_ratio_tightness(capsys):

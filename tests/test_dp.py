@@ -162,6 +162,22 @@ def test_every_transition_keeps_the_best_candidate(ex1):
     assert ties >= 1
 
 
+def test_every_item_an_agent_ranks_above_its_last_pick_is_taken(ex1):
+    """The build starts the stage agent's scan at its last rank.  That is
+    sound only if every item the agent ranks above its last pick is already
+    allocated in the state's trace.  m = 8 and 16 are where the width of a
+    last-rank field in the build's state key grows by one bit."""
+    instances = [ex1] + [inst for inst, _seed in random_instances(80, seed=59, max_items=8)]
+    instances += [sm.generate_random_instance(n, m, seed) for n in (2, 3) for m in (8, 16) for seed in (1, 2)]
+    for inst in instances:
+        table = best_response_with_table(inst)[1]
+        for state in table:
+            taken = {item for item, _agent in replay_state(inst, table, state)}
+            for agent in range(2, inst.n_agents + 1):
+                last = state.last_rank[agent - 2]
+                assert set(inst.rankings[agent][:last]) <= taken, (inst, state, agent)
+
+
 def test_state_count_within_box_bound():
     for inst, _seed in random_instances(100, seed=53, max_items=9):
         table = best_response_with_table(inst)[1]
@@ -179,7 +195,16 @@ def test_dp_is_deterministic(ex1):
     assert sm.best_response_with_table(inst)[0] == sm.best_response_with_table(inst)[0]
 
 
-def test_state_budget_counts_stored_states(monkeypatch):
+def test_state_budget_counts_stored_states(monkeypatch, ex1):
+    # Every budget short of the table raises, at a stage boundary or within
+    # a stage; the table's own size solves.
+    small = [ex1] + [inst for inst, _seed in random_instances(10, seed=67, agents=(2, 3), max_items=7)]
+    for inst in small:
+        solution, table = best_response_with_table(inst)
+        for budget in range(1, len(table)):
+            with pytest.raises(sm.BudgetExceeded, match=f"more than {budget} states"):
+                best_response_with_table(inst, budget=budget)
+        assert best_response_with_table(inst, budget=len(table)) == (solution, table)
     inst = sm.generate_random_instance(3, 12, seed=5)
     solution, table = best_response_with_table(inst)
     assert best_response_with_table(inst, budget=len(table)) == (solution, table)

@@ -124,6 +124,25 @@ def test_dp_build_does_no_fraction_arithmetic(monkeypatch):
     assert sum(calls.values()) == 0, calls
 
 
+def test_dp_build_makes_a_state_only_for_stored_states(monkeypatch):
+    """Candidates are int keys; a ``DPState`` is made once per stored state,
+    not once per candidate transition."""
+    base = sm.generate_random_instance(2, 60, seed=4)
+    inst = base.with_policy([1 + t % 2 for t in range(60)])
+    made = 0
+    state_type = dp.DPState
+
+    def counting_state(*args):
+        nonlocal made
+        made += 1
+        return state_type(*args)
+
+    monkeypatch.setattr(dp, "DPState", counting_state)
+    table, _final = dp._build(inst, 10**7)
+    assert len(table) > 400
+    assert made <= len(table), (made, len(table))
+
+
 def test_choice_tree_fraction_ops_do_not_grow_with_nodes(monkeypatch):
     instances = [
         sm.generate_random_instance(2, m, seed=6).with_policy([1 + t % 2 for t in range(m)])
