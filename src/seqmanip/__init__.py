@@ -17,13 +17,9 @@ from .engine import (
     PickingStrategy,
     Solution,
     bundle_items,
-    check_feasible,
-    considered_before,
     execute,
-    invariance_related,
     is_greedy,
     manipulator_bundle,
-    splice,
     strategy_from_sequence,
     trace_feasible,
 )
@@ -48,7 +44,6 @@ from .policy import (
     decompose,
     dominates,
     enumerate_dominated,
-    move_manipulator_turn,
 )
 from .responses import (
     ApproximationReport,
@@ -73,19 +68,14 @@ __all__ = [
     "decompose",
     "dominates",
     "enumerate_dominated",
-    "move_manipulator_turn",
     "AllocationSequence",
     "PickingStrategy",
     "Bundle",
     "bundle_items",
     "execute",
     "trace_feasible",
-    "check_feasible",
     "strategy_from_sequence",
-    "considered_before",
     "is_greedy",
-    "invariance_related",
-    "splice",
     "manipulator_bundle",
     "greedy_alg",
     "Solution",

@@ -18,8 +18,9 @@ Python ints.  Within a stage a state is one int key, and an entry's
 stage agent's scan starts at its last rank: it picks greedily, so every
 item it ranks higher was taken by then.  Allocated item sets (byte masks
 over the instance's integer view) are carried stage-to-stage during
-construction and rebuilt later by replaying backpointers through the same
-stage step.
+construction.  A stored state's trace is rebuilt as the greedy trace of its
+chain's turns (:func:`engine._greedy_trace`): per entry, q manipulator turns
+and then the stage agent's turn.
 :func:`best_response_with_table` is the one solver: it returns the optimum
 together with the table, and stops with :class:`BudgetExceeded` once the
 table would hold more states than its budget.
@@ -36,10 +37,9 @@ from .engine import (
     AllocationSequence,
     BudgetExceeded,
     Solution,
-    Step,
     _resolve_budget,
 )
-from .model import MANIPULATOR, Instance
+from .model import MANIPULATOR, Agent, Instance
 from .policy import decompose
 
 
@@ -53,21 +53,6 @@ class DPEntry(NamedTuple):
     utility: Fraction
     pred: DPState | None
     q: int
-
-
-def _stage_tops(inst: Instance, agent: int, taken: bytes | bytearray, count: int) -> list[int]:
-    """The stage step: the first ``count`` items of ``agent``'s ranking not
-    ``taken``, as item indices.  A segment with ``q`` manipulator
-    turns gives the manipulator the first ``q`` of them and the stage agent
-    the next one."""
-    first_free = inst.view.first_free
-    pref = inst.view.prefs[agent]
-    tops: list[int] = []
-    pos = -1
-    for _ in range(count):
-        pos = first_free(pref, taken, pos + 1)
-        tops.append(pref[pos])
-    return tops
 
 
 def _build(
@@ -149,28 +134,24 @@ def _build(
     return table, final
 
 
+def _chain_turns(inst: Instance, table: dict[DPState, DPEntry], state: DPState) -> list[Agent]:
+    """The turn order of the stored chain ending at ``state``: per entry, q
+    manipulator turns and then the stage agent's turn."""
+    core = decompose(inst.policy).core
+    turns: list[Agent] = []
+    while (entry := table[state]).pred is not None:
+        turns.append(core[state.x - 1])
+        turns.extend([MANIPULATOR] * entry.q)
+        state = entry.pred
+    turns.reverse()
+    return turns
+
+
 def replay_state(
     inst: Instance, table: dict[DPState, DPEntry], state: DPState
 ) -> AllocationSequence:
     """Reconstruct the stored partial trace realising ``state``."""
-    chain: list[DPState] = []
-    while table[state].pred is not None:
-        chain.append(state)
-        state = table[state].pred
-    chain.reverse()
-    core = decompose(inst.policy).core
-    taken = bytearray(inst.m)
-    steps: list[Step] = []
-    for node in chain:
-        stage_agent = core[node.x - 1]
-        tops = _stage_tops(inst, stage_agent, taken, table[node].q + 1)
-        # The manipulator takes every item of the segment but the last, which
-        # goes to the stage agent.
-        steps.extend((inst.items[i], MANIPULATOR) for i in tops[:-1])
-        steps.append((inst.items[tops[-1]], stage_agent))
-        for i in tops:
-            taken[i] = 1
-    return tuple(steps)
+    return engine._greedy_trace(inst, _chain_turns(inst, table, state))
 
 
 def best_response_with_table(
@@ -184,23 +165,17 @@ def best_response_with_table(
     ``SEQMANIP_BUDGET`` environment variable).
     """
     table, final = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
-    pref1 = inst.view.prefs[MANIPULATOR]
     weight = inst.view.weight
-
-    def completion(taken: bytes) -> list[int]:
-        """The manipulator's picks after the last segment: every item left."""
-        return [i for i in pref1 if not taken[i]]
-
+    # The manipulator takes every item left after the last segment.
     totals = {
-        state: utility + sum(weight[i] for i in completion(taken))
+        state: utility + sum(w for w, t in zip(weight, taken) if not t)
         for state, (utility, taken) in final.items()
     }
     # the best total; among equal totals the smallest state
     best_state = min(totals, key=lambda state: (-totals[state], state))
     best_total = Fraction(totals[best_state], inst.view.scale)
-    seq = replay_state(inst, table, best_state) + tuple(
-        (inst.items[i], MANIPULATOR) for i in completion(final[best_state][1])
-    )
+    turns = _chain_turns(inst, table, best_state)
+    seq = engine._greedy_trace(inst, turns + [MANIPULATOR] * (inst.m - len(turns)))
     strategy = engine.strategy_from_sequence(inst, seq)
     bundle = engine.manipulator_bundle(inst, seq)
     if bundle.total_utility != best_total:

@@ -1,13 +1,15 @@
 """Execution engine for sequential allocation.
 
-Runs picking strategies against a policy, checks feasibility and greediness
-of allocation traces, and implements the considered-by test, the invariance
-relation and prefix splicing.
+Runs picking strategies against a policy, computes the greedy trace of a
+turn order, and checks feasibility and greediness of allocation traces.
 
 An allocation sequence is a tuple of ``(item, agent)`` steps.  A sequence
 carries its own turn order, so partial traces produced under policies other
-than the instance's own can still be checked for feasibility, greediness and
-invariance; the instance only supplies rankings and utilities.
+than the instance's own can still be checked for feasibility and
+greediness; the instance only supplies rankings and utilities.
+:func:`_greedy_trace` is the one greedy allocation outside the solvers'
+inner loops: the greedy procedure, the DP's replay and both certificates
+run it on their turn orders.
 
 The budget of a search (the DP's stored states, the oracles' expanded states
 or policies) is resolved here, so that every solver shares one rule and one
@@ -17,7 +19,6 @@ or policies) is resolved here, so that every solver shares one rule and one
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -143,64 +144,18 @@ def strategy_from_sequence(inst: Instance, seq: Sequence[Step]) -> PickingStrate
     return tuple(picked + rest)
 
 
-def check_feasible(
-    inst: Instance, seq: Sequence[Step]
-) -> tuple[bool, PickingStrategy | None]:
-    """Decide whether some picking strategy reproduces ``seq``.
-
-    ``seq`` must be a prefix-aligned trace of the instance's policy (length
-    and per-step agents are validated).  Returns ``(feasible, strategy)``;
-    the witness strategy is only produced for complete feasible traces.
-    """
-    if len(seq) > inst.m:
-        raise ValueError(f"trace length {len(seq)} exceeds item count {inst.m}")
-    for pos, (item, agent) in enumerate(seq):
-        if agent != inst.policy[pos]:
-            raise ValueError(
-                f"step {pos}: agent {agent} does not match policy turn {inst.policy[pos]}"
-            )
-    if not trace_feasible(inst, seq):
-        return False, None
-    if len(seq) == inst.m:
-        return True, strategy_from_sequence(inst, seq)
-    return True, None
-
-
-def considered_before(
-    inst: Instance, seq: Sequence[Step], item: Item, agent: Agent, x: int
-) -> bool:
-    """Has ``agent`` considered ``item`` within the first ``x`` allocations?
-
-    True iff the last item allocated to the agent among the first ``x`` steps
-    ranks strictly below ``item`` in the agent's ranking.  An agent that has
-    received nothing has considered nothing, and an item never ranks strictly
-    below itself.
-    """
-    if agent == MANIPULATOR:
-        raise ValueError("considered-by is defined for non-manipulators only")
-    if x > len(seq):
-        raise ValueError(f"x = {x} exceeds trace length {len(seq)}")
-    last: Item | None = None
-    for it, a in seq[:x]:
-        if a == agent:
-            last = it
-    if last is None:
-        return False
-    rank, index = inst.view.rank[agent], inst.view.index
-    return rank[index[last]] > rank[index[item]]
-
-
-def _greedy_choosers(turns: Sequence[Agent]) -> list[Agent]:
-    """Whose ranking each turn takes from under greedy play: the first
-    non-manipulator at or after the turn, or the manipulator once none is
-    left."""
+def _greedy_trace(inst: Instance, turns: Sequence[Agent]) -> AllocationSequence:
+    """The greedy trace of the turn order ``turns``: a non-manipulator turn
+    takes its agent's top remaining item, and a manipulator turn takes the
+    top remaining item of the first non-manipulator at or after it, or its
+    own once none is left."""
     choosers = list(turns)
     following = MANIPULATOR
     for t in range(len(turns) - 1, -1, -1):
         if turns[t] != MANIPULATOR:
             following = turns[t]
         choosers[t] = following
-    return choosers
+    return _allocate(inst, inst.view.prefs, turns, choosers)
 
 
 def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
@@ -213,51 +168,4 @@ def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
     """
     if not trace_feasible(inst, seq):
         raise ValueError("greediness is only defined for feasible traces")
-    turns = [agent for _, agent in seq]
-    return tuple(map(tuple, seq)) == _allocate(inst, inst.view.prefs, turns, _greedy_choosers(turns))
-
-
-def invariance_related(s1: Sequence[Step], s2: Sequence[Step]) -> bool:
-    """Are two (partial) traces in the invariance relation?
-
-    Requires equal per-agent allocation counts (manipulator included), equal
-    allocated item sets, and the same last item per non-manipulator.  Traces
-    in the relation leave behind the same remaining subproblem.
-    """
-    if Counter(a for _, a in s1) != Counter(a for _, a in s2):
-        return False
-    if {item for item, _ in s1} != {item for item, _ in s2}:
-        return False
-    return _last_items(s1) == _last_items(s2)
-
-
-def _last_items(seq: Sequence[Step]) -> dict[Agent, Item]:
-    last: dict[Agent, Item] = {}
-    for item, agent in seq:
-        if agent != MANIPULATOR:
-            last[agent] = item
-    return last
-
-
-def splice(
-    inst: Instance,
-    seq: Sequence[Step],
-    i: int,
-    replacement: Sequence[Step],
-) -> AllocationSequence:
-    """Replace the first ``i`` steps of a complete feasible trace with an
-    invariance-related prefix.
-
-    The exchange always preserves feasibility; this is asserted at runtime
-    and a failure signals an internal bug rather than bad input.
-    """
-    if len(replacement) != i:
-        raise ValueError(f"replacement length {len(replacement)} != prefix length {i}")
-    if len(seq) != inst.m or not trace_feasible(inst, seq):
-        raise ValueError("base trace must be complete and feasible")
-    if not invariance_related(tuple(seq[:i]), tuple(replacement)):
-        raise ValueError("replacement prefix is not invariance-related to the original")
-    result = tuple(replacement) + tuple(seq[i:])
-    if not trace_feasible(inst, result):
-        raise RuntimeError("internal error: exchange splice produced an infeasible trace")
-    return result
+    return tuple(map(tuple, seq)) == _greedy_trace(inst, [agent for _, agent in seq])

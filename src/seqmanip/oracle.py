@@ -23,10 +23,10 @@ from .engine import (
     DEFAULT_STATE_BUDGET,
     BudgetExceeded,
     Solution,
+    _greedy_trace,
     _resolve_budget,
     _solution_from_strategy,
 )
-from .greedy import greedy_alg
 from .model import MANIPULATOR, Instance
 from .policy import Policy, decompose, enumerate_dominated
 
@@ -240,7 +240,7 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
         else:
             break
     assert best_weight is not None and best_policy is not None
-    _seq, strategy = greedy_alg(inst.with_policy(best_policy))
+    strategy = engine.strategy_from_sequence(inst, _greedy_trace(inst, best_policy))
     solution = _solution_from_strategy(inst, strategy)
     if solution.utility != Fraction(best_weight, view.scale):
         raise RuntimeError(
@@ -273,14 +273,15 @@ def is_crucial(inst: Instance, budget: int | None = None, optimum: Fraction | No
     for count, pol in enumerate(enumerate_dominated(inst.policy), start=1):
         if count > policy_budget:
             raise BudgetExceeded(f"dominated-policy enumeration exceeded {policy_budget} policies")
-        if pol != inst.policy and _reaches(inst.with_policy(pol), own, state_budget):
+        if pol != inst.policy and _reaches(inst, pol, own, state_budget):
             return False
     return True
 
 
-def _reaches(inst: Instance, target: int, budget: int) -> bool:
+def _reaches(inst: Instance, policy: Policy, target: int, budget: int) -> bool:
     """Can the manipulator end up with a bundle of weight at least
-    ``target`` (in the view's integer weights)?
+    ``target`` (in the view's integer weights) under ``policy``, a policy
+    with the instance's items and as many manipulator turns as its own?
 
     A forward pass like :func:`_reachable`'s that keeps, for each reachable
     allocated set, the most weight the manipulator can hold on reaching it.
@@ -301,7 +302,7 @@ def _reaches(inst: Instance, target: int, budget: int) -> bool:
     layer = {0: 0}  # allocated set -> the most weight held on reaching it
     kept = 1
     turns = inst.k1  # manipulator turns not yet taken
-    for agent in inst.policy:
+    for agent in policy:
         mine = agent == MANIPULATOR
         turns -= mine  # now those after this one
         nxt: dict[int, int] = {}

@@ -124,16 +124,3 @@ def enumerate_dominated(policy: Sequence[Agent]) -> Iterator[Policy]:
         positions[i] += 1
         for j in range(i + 1, k):
             positions[j] = max(z[j], positions[j - 1] + 1)
-
-
-def move_manipulator_turn(policy: Sequence[Agent], src: int, dst: int) -> Policy:
-    """Move the manipulator turn at 1-based position ``src`` so it lands at
-    1-based position ``dst`` of the resulting policy."""
-    if policy[src - 1] != MANIPULATOR:
-        raise ValueError(f"position {src} holds agent {policy[src - 1]}, not the manipulator")
-    if not 1 <= dst <= len(policy):
-        raise ValueError(f"target position {dst} out of range 1..{len(policy)}")
-    out = list(policy)
-    del out[src - 1]
-    out.insert(dst - 1, MANIPULATOR)
-    return tuple(out)

@@ -7,6 +7,7 @@ import json
 import random
 
 import seqmanip as sm
+from paper_lemmas import considered_before, move_manipulator_turn
 
 EXAMPLE1_UTILITIES = {"a": 5, "b": 4, "c": 3, "d": 2, "e": 1}
 
@@ -117,11 +118,11 @@ def check_move_preservation(inst: sm.Instance, strategy) -> int:
             continue
         for p in range(i + 1, m + 1):
             if any(
-                sm.considered_before(inst, trace, item, watcher, p)
+                considered_before(inst, trace, item, watcher, p)
                 for watcher in range(2, inst.n_agents + 1)
             ):
                 continue
-            moved_policy = sm.move_manipulator_turn(inst.policy, i, p)
+            moved_policy = move_manipulator_turn(inst.policy, i, p)
             moved_inst = inst.with_policy(moved_policy)
             spliced = trace[: i - 1] + trace[i:p] + (trace[i - 1],) + trace[p:]
             assert tuple(a for _, a in spliced) == moved_policy

@@ -47,19 +47,19 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def pools() -> dict[str, sweeps.SweepSummary]:
     summaries: dict[str, sweeps.SweepSummary] = {}
     summaries["exhaustive n=2 m<=6"] = sweeps.sweep(
-        sweeps.iter_exhaustive_specs(2, 6), check_crucial=True
+        sweeps.iter_exhaustive_specs(2, 6), check_crucial=True, workers=2
     )
     summaries["exhaustive n=3 m<=4"] = sweeps.sweep(
-        sweeps.iter_exhaustive_specs(3, 4), check_crucial=True
+        sweeps.iter_exhaustive_specs(3, 4), check_crucial=True, workers=2
     )
     summaries["sampled n=3 m=5"] = sweeps.sweep(
-        sweeps.iter_random_specs(12000, [3], max_items=5, seed=511, min_items=5)
+        sweeps.iter_random_specs(12000, [3], max_items=5, seed=511, min_items=5), workers=2
     )
     summaries["sampled n=3 m=6"] = sweeps.sweep(
-        sweeps.iter_random_specs(12000, [3], max_items=6, seed=611, min_items=6)
+        sweeps.iter_random_specs(12000, [3], max_items=6, seed=611, min_items=6), workers=2
     )
     summaries["random n in {3,4} m<=9"] = sweeps.sweep(
-        sweeps.iter_random_specs(1200, [3, 4], max_items=9, seed=911)
+        sweeps.iter_random_specs(1200, [3, 4], max_items=9, seed=911), workers=2
     )
     return summaries
 

@@ -5,6 +5,7 @@ import pytest
 import seqmanip as sm
 from seqmanip.dp import DPState, best_response_with_table, replay_state
 from seqmanip.policy import decompose
+from paper_lemmas import invariance_related
 from _util import random_instances
 
 
@@ -138,7 +139,7 @@ def _check_every_transition(inst) -> int:
             last_rank[agent - 2] = ranking.index(free[q]) + 1
             target = DPState(x, pred.y + q, tuple(last_rank))
             assert target in table
-            assert sm.invariance_related(trace + segment, replay_state(inst, table, target))
+            assert invariance_related(trace + segment, replay_state(inst, table, target))
             utility = entry.utility + sum((inst.utility[item] for item in free[:q]), Fraction(0))
             candidates.setdefault(target, []).append((utility, q, pred))
     assert set(candidates) == {state for state in table if state.x > 0}
@@ -165,17 +166,24 @@ def test_every_transition_keeps_the_best_candidate(ex1):
 def test_every_item_an_agent_ranks_above_its_last_pick_is_taken(ex1):
     """The build starts the stage agent's scan at its last rank.  That is
     sound only if every item the agent ranks above its last pick is already
-    allocated in the state's trace.  m = 8 and 16 are where the width of a
+    allocated in the state's trace.  In fact a state's allocated set is
+    exactly the items the other agents rank up to their last picks, and the
+    manipulator holds y of them.  m = 8 and 16 are where the width of a
     last-rank field in the build's state key grows by one bit."""
     instances = [ex1] + [inst for inst, _seed in random_instances(80, seed=59, max_items=8)]
-    instances += [sm.generate_random_instance(n, m, seed) for n in (2, 3) for m in (8, 16) for seed in (1, 2)]
+    instances += [inst for inst, _seed in random_instances(80, seed=61, agents=(4, 5), max_items=16)]
+    instances += [
+        sm.generate_random_instance(n, m, seed) for n in (2, 3, 4, 5) for m in (8, 12, 16) for seed in (1, 2, 3, 4)
+    ]
     for inst in instances:
         table = best_response_with_table(inst)[1]
         for state in table:
-            taken = {item for item, _agent in replay_state(inst, table, state)}
+            trace = replay_state(inst, table, state)
+            ranked_above = set()
             for agent in range(2, inst.n_agents + 1):
-                last = state.last_rank[agent - 2]
-                assert set(inst.rankings[agent][:last]) <= taken, (inst, state, agent)
+                ranked_above.update(inst.rankings[agent][: state.last_rank[agent - 2]])
+            assert {item for item, _agent in trace} == ranked_above, (inst, state)
+            assert len(sm.bundle_items(trace, sm.MANIPULATOR)) == state.y, (inst, state)
 
 
 def test_state_count_within_box_bound():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import seqmanip as sm
+from paper_lemmas import check_feasible, considered_before, invariance_related, splice
 from _util import (
     check_dominance_construction,
     check_move_preservation,
@@ -47,26 +48,26 @@ def test_execute_is_pure(ex1):
 
 
 def test_check_feasible_example1_trace(ex1):
-    ok, strategy = sm.check_feasible(ex1, TRUTHFUL_EX1)
+    ok, strategy = check_feasible(ex1, TRUTHFUL_EX1)
     assert ok
     assert strategy == ("a", "d", "b", "c", "e")
 
 
 def test_check_feasible_detects_untruthful_step(ex1):
-    ok, strategy = sm.check_feasible(ex1, (("a", 1), ("b", 3)))
+    ok, strategy = check_feasible(ex1, (("a", 1), ("b", 3)))
     assert not ok and strategy is None
 
 
 def test_check_feasible_empty_prefix(ex1):
-    ok, strategy = sm.check_feasible(ex1, ())
+    ok, strategy = check_feasible(ex1, ())
     assert ok and strategy is None
 
 
 def test_check_feasible_rejects_policy_mismatch(ex1):
     with pytest.raises(ValueError):
-        sm.check_feasible(ex1, (("a", 2),))
+        check_feasible(ex1, (("a", 2),))
     with pytest.raises(ValueError):
-        sm.check_feasible(ex1, tuple(TRUTHFUL_EX1) + (("f", 1),))
+        check_feasible(ex1, tuple(TRUTHFUL_EX1) + (("f", 1),))
 
 
 def test_feasibility_closure(ex1):
@@ -74,7 +75,7 @@ def test_feasibility_closure(ex1):
     for inst, _seed in random_instances(80, seed=11):
         strategy = random_strategy(inst, rng)
         trace = sm.execute(inst, strategy)
-        ok, associated = sm.check_feasible(inst, trace)
+        ok, associated = check_feasible(inst, trace)
         assert ok
         assert sm.execute(inst, associated) == trace
 
@@ -82,35 +83,35 @@ def test_feasibility_closure(ex1):
 def test_considered_before_truthful_example1(ex1):
     trace = sm.execute(ex1, ("a", "b", "c", "d", "e"))
     # agent 2's last item within three allocations is c, better than b
-    assert not sm.considered_before(ex1, trace, "b", 2, 3)
+    assert not considered_before(ex1, trace, "b", 2, 3)
     # after taking b itself: not strictly below b
-    assert not sm.considered_before(ex1, trace, "b", 2, 4)
+    assert not considered_before(ex1, trace, "b", 2, 4)
     # b stays agent 2's last item; e ranks below it, c above it
-    assert not sm.considered_before(ex1, trace, "e", 2, 4)
-    assert sm.considered_before(ex1, trace, "c", 2, 4)
-    assert sm.considered_before(ex1, trace, "c", 2, 5)
+    assert not considered_before(ex1, trace, "e", 2, 4)
+    assert considered_before(ex1, trace, "c", 2, 4)
+    assert considered_before(ex1, trace, "c", 2, 5)
 
 
 def test_considered_before_misreport_example1(ex1):
     trace = sm.execute(ex1, ("b", "a", "c", "d", "e"))
     # agent 2 reaches past b only once it takes d at the fourth allocation
-    assert not sm.considered_before(ex1, trace, "b", 2, 3)
-    assert sm.considered_before(ex1, trace, "b", 2, 4)
-    assert not sm.considered_before(ex1, trace, "b", 3, 5)
+    assert not considered_before(ex1, trace, "b", 2, 3)
+    assert considered_before(ex1, trace, "b", 2, 4)
+    assert not considered_before(ex1, trace, "b", 3, 5)
 
 
 def test_considered_before_nothing_received(ex1):
     trace = sm.execute(ex1, ("a", "b", "c", "d", "e"))
-    assert not sm.considered_before(ex1, trace, "a", 2, 2)  # agent 2 idle so far
-    assert not sm.considered_before(ex1, trace, "a", 2, 0)
+    assert not considered_before(ex1, trace, "a", 2, 2)  # agent 2 idle so far
+    assert not considered_before(ex1, trace, "a", 2, 0)
 
 
 def test_considered_before_argument_errors(ex1):
     trace = sm.execute(ex1, ("a", "b", "c", "d", "e"))
     with pytest.raises(ValueError):
-        sm.considered_before(ex1, trace, "a", 1, 3)
+        considered_before(ex1, trace, "a", 1, 3)
     with pytest.raises(ValueError):
-        sm.considered_before(ex1, trace, "a", 2, 6)
+        considered_before(ex1, trace, "a", 2, 6)
 
 
 def test_is_greedy_accepts_greedy_trace(ex1):
@@ -140,26 +141,26 @@ def test_is_greedy_raises_on_infeasible(ex1):
 
 def test_invariance_relation_reflexive(ex1):
     trace = sm.execute(ex1, ("a", "b", "c", "d", "e"))
-    assert sm.invariance_related(trace, trace)
-    assert sm.invariance_related(trace[:3], trace[:3])
+    assert invariance_related(trace, trace)
+    assert invariance_related(trace[:3], trace[:3])
 
 
 def test_invariance_relation_positive_case():
     a = (("w", 1), ("x", 2), ("y", 1), ("z", 2))
     b = (("w", 1), ("x", 1), ("y", 2), ("z", 2))
-    assert sm.invariance_related(a, b)  # same counts, same set, agent 2 ends on z
+    assert invariance_related(a, b)  # same counts, same set, agent 2 ends on z
 
 
 def test_invariance_relation_last_item_mismatch():
     a = (("e", 3), ("c", 2), ("b", 1), ("d", 2))
     b = (("e", 1), ("b", 3), ("c", 2), ("d", 2))
-    assert not sm.invariance_related(a, b)  # agent 3 last receives e vs b
+    assert not invariance_related(a, b)  # agent 3 last receives e vs b
 
 
 def test_invariance_relation_count_and_set_mismatches():
     a = (("w", 1), ("x", 2))
-    assert not sm.invariance_related(a, (("w", 1), ("x", 1)))
-    assert not sm.invariance_related(a, (("w", 1), ("y", 2)))
+    assert not invariance_related(a, (("w", 1), ("x", 1)))
+    assert not invariance_related(a, (("w", 1), ("y", 2)))
 
 
 def test_splice_example():
@@ -173,26 +174,26 @@ def test_splice_example():
     base = (("w", 1), ("x", 2), ("y", 1), ("z", 2), ("v", 1))
     assert sm.trace_feasible(inst, base)
     replacement = (("w", 1), ("x", 1), ("y", 2), ("z", 2))
-    spliced = sm.splice(inst, base, 4, replacement)
+    spliced = splice(inst, base, 4, replacement)
     assert spliced == (("w", 1), ("x", 1), ("y", 2), ("z", 2), ("v", 1))
     assert sm.trace_feasible(inst, spliced)
 
 
 def test_splice_identity_and_empty(ex1):
     trace = sm.execute(ex1, ("a", "b", "c", "d", "e"))
-    assert sm.splice(ex1, trace, 3, trace[:3]) == trace
-    assert sm.splice(ex1, trace, 0, ()) == trace
+    assert splice(ex1, trace, 3, trace[:3]) == trace
+    assert splice(ex1, trace, 0, ()) == trace
 
 
 def test_splice_rejects_bad_preconditions(ex1):
     trace = sm.execute(ex1, ("a", "b", "c", "d", "e"))
     with pytest.raises(ValueError):
-        sm.splice(ex1, trace, 2, trace[:3])  # length mismatch
+        splice(ex1, trace, 2, trace[:3])  # length mismatch
     with pytest.raises(ValueError):
-        sm.splice(ex1, trace[:4], 2, trace[:2])  # base not complete
+        splice(ex1, trace[:4], 2, trace[:2])  # base not complete
     bad_prefix = (("e", 1), ("b", 3))  # unrelated to trace[:2]
     with pytest.raises(ValueError):
-        sm.splice(ex1, trace, 2, bad_prefix)
+        splice(ex1, trace, 2, bad_prefix)
 
 
 def test_splice_random_exchanges():
@@ -204,8 +205,8 @@ def test_splice_random_exchanges():
         trace = sm.execute(inst, strategy)
         other = sm.execute(inst, random_strategy(inst, rng))
         for i in range(1, inst.m + 1):
-            if sm.invariance_related(trace[:i], other[:i]):
-                spliced = sm.splice(inst, trace, i, other[:i])
+            if invariance_related(trace[:i], other[:i]):
+                spliced = splice(inst, trace, i, other[:i])
                 assert sm.trace_feasible(inst, spliced)
                 found += 1
     assert found > 50

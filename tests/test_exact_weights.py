@@ -174,7 +174,7 @@ def test_reaches_agrees_with_the_choice_tree_optimum():
             best, _solution = _choice_tree(variant, 10**7)
             targets = {0, best - 1, best, best + 1, *variant.view.weight}
             for target in sorted(targets):
-                assert _reaches(variant, target, 10**7) == (best >= target), (n, m, seed, pol, target)
+                assert _reaches(inst, pol, target, 10**7) == (best >= target), (n, m, seed, pol, target)
             strictly_worse = strictly_worse and (pol == inst.policy or best < own)
         optimum = Fraction(own, inst.view.scale)
         assert sm.is_crucial(inst, optimum=optimum) == strictly_worse == sm.is_crucial(inst)

@@ -267,7 +267,7 @@ def test_reaches_hits_the_optimum_exactly_on_the_exhaustive_n2_m5_pool():
         for pol in sm.enumerate_dominated(inst.policy):
             variant = inst.with_policy(pol)
             best = _choice_tree(variant, 10**7)[0]
-            assert _reaches(variant, best, 10**7) and not _reaches(variant, best + 1, 10**7), (spec, pol)
+            assert _reaches(inst, pol, best, 10**7) and not _reaches(inst, pol, best + 1, 10**7), (spec, pol)
 
 
 def test_dominated_greedy_walk_matches_a_greedy_run_per_dominated_policy():
@@ -284,6 +284,23 @@ def test_dominated_greedy_walk_matches_a_greedy_run_per_dominated_policy():
         assert (solution.utility, certificate) == (best_utility, best_policy), f"seed={seed}"
         _trace, strategy = sm.greedy_alg(inst.with_policy(certificate))
         assert solution.strategy == strategy, f"seed={seed}"
+
+
+def test_dominated_greedy_and_the_crucial_check_build_no_instance_per_policy(monkeypatch, ex1):
+    """The certificate is the greedy trace of the best policy on the
+    instance itself, and each dominated policy's search runs on the
+    instance's own view, so neither needs ``with_policy``."""
+    instances = [ex1] + [inst for inst, _seed in random_instances(100, seed=71, agents=(2, 3, 4), max_items=7)]
+    expected = [(sm.dominated_greedy_best(inst), sm.is_crucial(inst)) for inst in instances]
+    assert {crucial for _dominated, crucial in expected} == {True, False}
+
+    def refuse(self, policy):
+        raise AssertionError("an instance was built for a dominated policy")
+
+    monkeypatch.setattr(sm.Instance, "with_policy", refuse)
+    for inst, (dominated, crucial) in zip(instances, expected):
+        assert sm.dominated_greedy_best(inst) == dominated
+        assert sm.is_crucial(inst) == crucial
 
 
 def test_dominated_greedy_ties_go_to_the_first_dominated_policy():

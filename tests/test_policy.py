@@ -5,6 +5,7 @@ import pytest
 
 import seqmanip as sm
 from seqmanip.policy import policy_from_positions
+from paper_lemmas import move_manipulator_turn
 
 
 def test_decompose_13221():
@@ -151,13 +152,13 @@ def test_policy_from_positions_roundtrip():
 
 
 def test_move_manipulator_turn():
-    assert sm.move_manipulator_turn((1, 3, 2, 2, 1), 1, 3) == (3, 2, 1, 2, 1)
-    assert sm.move_manipulator_turn((1, 3, 2, 2, 1), 1, 1) == (1, 3, 2, 2, 1)
-    assert sm.move_manipulator_turn((1, 1, 2), 1, 3) == (1, 2, 1)
+    assert move_manipulator_turn((1, 3, 2, 2, 1), 1, 3) == (3, 2, 1, 2, 1)
+    assert move_manipulator_turn((1, 3, 2, 2, 1), 1, 1) == (1, 3, 2, 2, 1)
+    assert move_manipulator_turn((1, 1, 2), 1, 3) == (1, 2, 1)
     with pytest.raises(ValueError):
-        sm.move_manipulator_turn((1, 3, 2, 2, 1), 2, 3)  # position 2 is agent 3
+        move_manipulator_turn((1, 3, 2, 2, 1), 2, 3)  # position 2 is agent 3
     with pytest.raises(ValueError):
-        sm.move_manipulator_turn((1, 3, 2, 2, 1), 1, 6)
+        move_manipulator_turn((1, 3, 2, 2, 1), 1, 6)
 
 
 def test_policy_from_positions_rejects_counts_that_do_not_add_up():
