@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import sweeps
 from .dp import best_response_with_table
-from .engine import BudgetExceeded, Solution, manipulator_bundle
+from .engine import BudgetExceeded, Solution, _positive_int, manipulator_bundle
 from .greedy import greedy_alg
 from .model import (
     Instance,
@@ -58,6 +58,13 @@ def _load_instance(path: str) -> Instance:
 def _decimal(value: Fraction, places: int = 6) -> str:
     scaled = round(value * 10**places)
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+
+
+def _budget(text: str) -> int:
+    budget = _positive_int(text)
+    if budget is None:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return budget
 
 
 def _solution_payload(inst: Instance, solution: Solution) -> dict:
@@ -259,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--dump-table", action="store_true", help="include the state table in the output")
     p_solve.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=None,
         help="budget of the DP's stored states and of the --check oracle's dominated policies",
     )
@@ -280,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["choice-tree", "dominated-greedy"],
         default="choice-tree",
     )
-    p_oracle.add_argument("--budget", type=int, default=None, help="search budget override")
+    p_oracle.add_argument("--budget", type=_budget, default=None, help="search budget override")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_ratio = sub.add_parser("ratio", help="truthful/optimal approximation report")
@@ -307,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--exhaustive", action="store_true", help="all policies x all ranking tuples up to --max-items")
     p_verify.add_argument("--random", type=int, default=0, metavar="COUNT", help="additionally check COUNT random instances")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=None)
+    p_verify.add_argument("--budget", type=_budget, default=None)
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 

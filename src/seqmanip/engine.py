@@ -38,13 +38,27 @@ class BudgetExceeded(RuntimeError):
     """A search outgrew its configured budget."""
 
 
+def _positive_int(text: str) -> int | None:
+    """``text`` as an int if it is a positive integer in plain ASCII digits
+    that ``int`` converts (at most 4300 of them by default)."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text) or None
+    except ValueError:
+        return None
+
+
 def _resolve_budget(value: int | None, default: int) -> int:
     if value is not None:
         return value
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return default
+    if env is None:
+        return default
+    budget = _positive_int(env)
+    if budget is None:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer")
+    return budget
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -110,6 +111,46 @@ def test_solve_state_budget_exits_budget_without_traceback(tmp_path):
     assert "dynamic program would store more than 10 states" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def run_with_budget(command, ex1_path, flag=None, variable=None):
+    target = ["--exhaustive", "--max-items", "2"] if command == "verify" else [ex1_path]
+    flags = [] if flag is None else [f"--budget={flag}"]
+    env = {**os.environ} if variable is None else {**os.environ, "SEQMANIP_BUDGET": variable}
+    return subprocess.run(
+        [sys.executable, "-m", "seqmanip", command, *target, *flags], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "1_0"])
+def test_invalid_budget_flag_is_invalid_input(ex1_path, command, value):
+    proc = run_with_budget(command, ex1_path, flag=value)
+    assert proc.returncode == 1, proc.stderr
+    assert "--budget" in proc.stderr and "positive integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+@pytest.mark.parametrize("value", ["abc", "-5", "0", " 7"])
+def test_invalid_budget_variable_is_invalid_input(ex1_path, command, value):
+    proc = run_with_budget(command, ex1_path, variable=value)
+    assert proc.returncode == 1, proc.stderr
+    assert "SEQMANIP_BUDGET" in proc.stderr and "positive integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_budget_with_more_digits_than_int_converts_is_invalid_input(ex1_path):
+    digits = "9" * 5000
+    for proc, name in (
+        (run_with_budget("solve", ex1_path, flag=digits), "--budget"),
+        (run_with_budget("solve", ex1_path, variable=digits), "SEQMANIP_BUDGET"),
+    ):
+        assert proc.returncode == 1, proc.stderr
+        assert name in proc.stderr and "positive integer" in proc.stderr
+        assert len(proc.stderr) < 500 and proc.stdout == ""
 
 
 def test_failed_self_check_exits_mismatch_without_traceback(capsys, monkeypatch, ex1_path):

@@ -1,8 +1,11 @@
+import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
 import seqmanip as sm
+from seqmanip import dp
 from seqmanip.dp import DPState, best_response_with_table, replay_state
 from seqmanip.policy import decompose
 from paper_lemmas import invariance_related
@@ -163,13 +166,20 @@ def test_every_transition_keeps_the_best_candidate(ex1):
     assert ties >= 1
 
 
+@pytest.mark.parametrize("n, m", [(2, 31), (2, 32), (2, 63), (2, 64), (3, 31), (3, 32)])
+def test_every_transition_keeps_the_best_candidate_where_a_key_field_widens(n, m):
+    # A last-rank field of the build's state key is m.bit_length() bits wide.
+    _check_every_transition(sm.generate_random_instance(n, m, seed=1))
+
+
 def test_every_item_an_agent_ranks_above_its_last_pick_is_taken(ex1):
     """The build starts the stage agent's scan at its last rank.  That is
     sound only if every item the agent ranks above its last pick is already
     allocated in the state's trace.  In fact a state's allocated set is
-    exactly the items the other agents rank up to their last picks, and the
-    manipulator holds y of them.  m = 8 and 16 are where the width of a
-    last-rank field in the build's state key grows by one bit."""
+    exactly the items the agents 2..n rank up to their last picks, and the
+    manipulator holds y of them.  The build derives its allocated sets from
+    this invariant: it keeps no set per state.  m = 8 and 16 are where the
+    width of a last-rank field in the build's state key grows by one bit."""
     instances = [ex1] + [inst for inst, _seed in random_instances(80, seed=59, max_items=8)]
     instances += [inst for inst, _seed in random_instances(80, seed=61, agents=(4, 5), max_items=16)]
     instances += [
@@ -222,3 +232,50 @@ def test_state_budget_counts_stored_states(monkeypatch, ex1):
     with pytest.raises(sm.BudgetExceeded):
         best_response_with_table(inst)
     assert best_response_with_table(inst, budget=len(table))[0] == solution
+
+
+def test_table_is_a_read_only_mapping_that_decodes_on_access(ex1):
+    table = best_response_with_table(ex1)[1]
+    assert isinstance(table, Mapping)
+    state = DPState(3, 1, (4, 1))
+    entry = table[state]
+    assert entry == sm.DPEntry(Fraction(4), DPState(2, 0, (1, 1)), 1)
+    assert table == dict(table.items())
+    with pytest.raises(TypeError):
+        table[state] = entry  # type: ignore[index]
+    with pytest.raises(TypeError):
+        del table[state]  # type: ignore[attr-defined]
+    assert table[state] == entry
+    # m = 5, so a field is 3 bits wide: (8, 2) would alias the stored (1, 1, (0, 2)).
+    assert DPState(1, 1, (0, 2)) in table
+    for missing in [
+        DPState(1, 1, (0, 1)),
+        DPState(1, 0, (8, 2)),
+        DPState(1, 0, (0, 66)),
+        DPState(1, -1, (0, 1)),
+        DPState(-1, 0, (0, 0)),
+        DPState(6, 0, (0, 0)),
+        DPState(1, 0, (0,)),
+        DPState(1, 0, (0, 1, 0)),
+        (1, 0),
+        None,
+    ]:
+        assert missing not in table
+        with pytest.raises(KeyError):
+            table[missing]
+        with pytest.raises(KeyError):
+            replay_state(ex1, table, missing)
+
+
+def test_a_stored_state_costs_at_most_200_bytes():
+    m = 60
+    inst = sm.generate_random_instance(3, m, seed=2).with_policy([1 + t % 3 for t in range(m)])
+    tracemalloc.start()
+    try:
+        table, final = dp._build(inst, 10**7)
+        del final
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 3000
+    assert retained / len(table) <= 200, retained / len(table)

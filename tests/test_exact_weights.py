@@ -125,8 +125,8 @@ def test_dp_build_does_no_fraction_arithmetic(monkeypatch):
 
 
 def test_dp_build_makes_a_state_only_for_stored_states(monkeypatch):
-    """Candidates are int keys; a ``DPState`` is made once per stored state,
-    not once per candidate transition."""
+    """Candidates and stored states are int keys; the build makes no
+    ``DPState`` at all, and the table decodes one only when it is read."""
     base = sm.generate_random_instance(2, 60, seed=4)
     inst = base.with_policy([1 + t % 2 for t in range(60)])
     made = 0
@@ -140,7 +140,8 @@ def test_dp_build_makes_a_state_only_for_stored_states(monkeypatch):
     monkeypatch.setattr(dp, "DPState", counting_state)
     table, _final = dp._build(inst, 10**7)
     assert len(table) > 400
-    assert made <= len(table), (made, len(table))
+    assert made == 0, made
+    assert len(list(table)) == made == len(table)
 
 
 def test_choice_tree_fraction_ops_do_not_grow_with_nodes(monkeypatch):
