@@ -7,51 +7,13 @@ truthful ranking.  This package executes the mechanism, solves the
 manipulator's best response exactly by dynamic programming, cross-validates
 against two independent brute-force oracles, and measures how far the
 truthful response falls short of the optimum (never below one half).
+
+``import seqmanip`` loads no submodule.  A public name, or a submodule
+such as ``seqmanip.oracle``, is imported on first use (PEP 562), so a
+command line run loads only the solvers it calls.
 """
 
-from .dp import DPEntry, DPState, best_response_with_table, replay_state
-from .engine import (
-    AllocationSequence,
-    Bundle,
-    BudgetExceeded,
-    PickingStrategy,
-    Solution,
-    bundle_items,
-    execute,
-    is_greedy,
-    manipulator_bundle,
-    strategy_from_sequence,
-    trace_feasible,
-)
-from .greedy import greedy_alg
-from .model import (
-    MANIPULATOR,
-    Instance,
-    InstanceError,
-    generate_random_instance,
-    generate_tightness_instance,
-    make_instance,
-    parse_instance,
-    serialize_instance,
-)
-from .oracle import (
-    choice_tree_best,
-    dominated_greedy_best,
-    is_crucial,
-)
-from .policy import (
-    PolicyDecomposition,
-    decompose,
-    dominates,
-    enumerate_dominated,
-)
-from .responses import (
-    ApproximationReport,
-    allocation_response,
-    approximation_report,
-    better_than_truth,
-    truthful_response,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -94,3 +56,34 @@ __all__ = [
     "allocation_response",
     "__version__",
 ]
+
+# Each submodule with the public names it defines.
+_EXPORTS = {
+    "model": "MANIPULATOR Instance InstanceError parse_instance serialize_instance make_instance "
+    "generate_random_instance generate_tightness_instance",
+    "policy": "PolicyDecomposition decompose dominates enumerate_dominated",
+    "engine": "AllocationSequence PickingStrategy Bundle bundle_items execute trace_feasible "
+    "strategy_from_sequence is_greedy manipulator_bundle Solution BudgetExceeded",
+    "greedy": "greedy_alg",
+    "oracle": "choice_tree_best dominated_greedy_best is_crucial",
+    "dp": "DPState DPEntry replay_state best_response_with_table",
+    "responses": "truthful_response ApproximationReport approximation_report better_than_truth allocation_response",
+    "cli": "",
+    "sweeps": "",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

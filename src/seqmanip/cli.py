@@ -5,24 +5,21 @@ success, 1 on invalid input, 2 on an internal verification mismatch (the
 dynamic program disagreeing with an oracle, or a solver's self-check
 failing, which must never happen), 3 when a search budget (the dynamic
 program's states, an oracle's states or policies) is exceeded.
+
+Each command imports the solvers it runs, so ``solve`` without ``--check``
+loads neither the oracles nor the sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import itertools
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Sequence
 
-from . import sweeps
 from .dp import best_response_with_table
 from .engine import BudgetExceeded, Solution, _positive_int, manipulator_bundle
-from .greedy import greedy_alg
 from .model import (
     Instance,
     InstanceError,
@@ -31,8 +28,6 @@ from .model import (
     parse_instance,
     serialize_instance,
 )
-from .oracle import choice_tree_best, dominated_greedy_best
-from .responses import allocation_response, approximation_report, truthful_response
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -83,6 +78,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     payload["dp_states"] = len(table)
     exit_code = EXIT_OK
     if args.check:
+        from .oracle import dominated_greedy_best
+
         reference, certificate = dominated_greedy_best(inst, budget=args.budget)
         agrees = reference.utility == solution.utility
         payload["check"] = {
@@ -111,6 +108,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_greedy(args: argparse.Namespace) -> int:
+    from .greedy import greedy_alg
+
     inst = _load_instance(args.instance)
     seq, strategy = greedy_alg(inst)
     _emit(_solution_payload(inst, Solution(strategy, seq, manipulator_bundle(inst, seq))))
@@ -118,12 +117,16 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
 
 
 def _cmd_truthful(args: argparse.Namespace) -> int:
+    from .responses import truthful_response
+
     inst = _load_instance(args.instance)
     _emit(_solution_payload(inst, truthful_response(inst)))
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import choice_tree_best, dominated_greedy_best
+
     inst = _load_instance(args.instance)
     if args.method == "choice-tree":
         solution = choice_tree_best(inst, budget=args.budget)
@@ -138,6 +141,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
+    from .responses import approximation_report
+
     if args.tightness is not None:
         inst = generate_tightness_instance(args.tightness)
     elif args.instance is not None:
@@ -157,6 +162,8 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_achievable(args: argparse.Namespace) -> int:
+    from .responses import allocation_response
+
     inst = _load_instance(args.instance)
     target = [token for token in args.target.split(",") if token]
     result = allocation_response(inst, target)
@@ -184,6 +191,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import itertools
+
+    from . import sweeps
+
     specs = []
     if args.exhaustive:
         specs.append(sweeps.iter_exhaustive_specs(args.agents, args.max_items))
@@ -216,6 +227,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import csv
+    import io
+    from dataclasses import asdict
+
+    from . import sweeps
+
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     params = [
         (args.agents, m, args.seed + offset)

@@ -33,7 +33,7 @@ budget.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,6 +112,33 @@ class DPTable(Mapping[DPState, DPEntry]):
 
     def __len__(self) -> int:
         return sum(map(len, self.stages))
+
+    def _pairs(self) -> Iterator[tuple[DPState, DPEntry]]:
+        """Every (state, entry) in one walk over the stages, each state
+        decoded once: an entry's predecessor is taken from the states of
+        the stage before."""
+        decoded: dict[int, DPState] = {}
+        for x, stage in enumerate(self.stages):
+            previous, decoded = decoded, {}
+            for key, (weight, pred, q) in stage.items():
+                decoded[key] = state = self._state(x, key)
+                yield state, DPEntry(Fraction(weight, self._scale), previous[pred] if x else None, q)
+
+    def items(self) -> ItemsView[DPState, DPEntry]:
+        return _Items(self)
+
+    def values(self) -> ValuesView[DPEntry]:
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self) -> Iterator[tuple[DPState, DPEntry]]:
+        return self._mapping._pairs()
+
+
+class _Values(ValuesView):
+    def __iter__(self) -> Iterator[DPEntry]:
+        return (entry for _, entry in self._mapping._pairs())
 
 
 def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, int]]]:

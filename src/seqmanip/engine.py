@@ -19,9 +19,8 @@ or policies) is resolved here, so that every solver shares one rule and one
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import MANIPULATOR, Agent, Instance, Item
 
@@ -50,7 +49,11 @@ def _positive_int(text: str) -> int | None:
 
 
 def _resolve_budget(value: int | None, default: int) -> int:
+    """``value``, else ``SEQMANIP_BUDGET``, else ``default``.  A given
+    ``value`` must be a non-negative int; 0 lets no search store anything."""
     if value is not None:
+        if type(value) is not int or value < 0:
+            raise ValueError(f"budget must be a non-negative integer, got {value!r}")
         return value
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is None:
@@ -61,16 +64,14 @@ def _resolve_budget(value: int | None, default: int) -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     """A set of items with its exact total utility to the manipulator."""
 
     items: frozenset[Item]
     total_utility: Fraction
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A picking strategy, its trace on the instance, and the manipulator's bundle."""
 
     strategy: PickingStrategy

@@ -19,9 +19,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -94,7 +94,11 @@ class _IntegerView(NamedTuple):
         return pref[self.first_free(pref, taken)]
 
 
-@dataclass(frozen=True, eq=True)
+# The fields that make an instance, in constructor order.
+_FIELDS = ("items", "n_agents", "policy", "rankings", "utility")
+_field_values = operator.attrgetter(*_FIELDS)
+
+
 class Instance:
     """A manipulation problem: items, agents, policy, rankings, utilities.
 
@@ -102,7 +106,8 @@ class Instance:
     permutation of ``items``, most preferred first).  ``utility`` gives the
     manipulator's cardinal value per item and must decrease strictly along the
     manipulator's own ranking.  Instances are immutable after construction and
-    safe to share between concurrent solver calls.
+    safe to share between concurrent solver calls.  Two instances are equal
+    when their five fields are; ``view`` takes no part.
     """
 
     items: tuple[Item, ...]
@@ -111,10 +116,29 @@ class Instance:
     rankings: Mapping[Agent, tuple[Item, ...]]
     utility: Mapping[Item, Fraction]
     # The integer view every solver works on, built by the validator.
-    view: _IntegerView = field(init=False, compare=False, repr=False)
+    view: _IntegerView
 
-    def __post_init__(self):
-        object.__setattr__(self, "view", _validate(self))
+    def __init__(self, items, n_agents, policy, rankings, utility):
+        fields = self.__dict__
+        fields.update(items=items, n_agents=n_agents, policy=policy, rankings=rankings, utility=utility)
+        fields["view"] = _validate(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    __hash__ = None  # type: ignore[assignment]  # rankings and utility are dicts
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_FIELDS, _field_values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def m(self) -> int:

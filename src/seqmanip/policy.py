@@ -7,16 +7,14 @@ vectors, tests domination and enumerates dominated policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .model import MANIPULATOR, Agent
 
 Policy = tuple[Agent, ...]
 
 
-@dataclass(frozen=True)
-class PolicyDecomposition:
+class PolicyDecomposition(NamedTuple):
     """Segment structure of a policy.
 
     ``segments`` cuts the policy after every non-manipulator turn; each

@@ -279,3 +279,17 @@ def test_a_stored_state_costs_at_most_200_bytes():
         tracemalloc.stop()
     assert len(table) > 3000
     assert retained / len(table) <= 200, retained / len(table)
+
+
+def test_items_and_values_decode_each_state_once(monkeypatch):
+    inst = sm.generate_random_instance(3, 12, seed=4)
+    table = best_response_with_table(inst)[1]
+    pairs = [(state, table[state]) for state in table]
+
+    def no_lookup(self, state):
+        raise AssertionError("items() and values() walk the stages; they look nothing up")
+
+    monkeypatch.setattr(dp.DPTable, "locate", no_lookup)
+    assert list(table.items()) == pairs
+    assert list(table.values()) == [entry for _, entry in pairs]
+    assert len(table.items()) == len(table.values()) == len(table)

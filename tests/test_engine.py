@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import seqmanip as sm
+from seqmanip import sweeps
 from paper_lemmas import check_feasible, considered_before, invariance_related, splice
 from _util import (
     check_dominance_construction,
@@ -238,3 +239,25 @@ def test_manipulator_bundle_utilities(ex1):
     bundle = sm.manipulator_bundle(ex1, trace)
     assert bundle.items == {"a", "b"}
     assert bundle.total_utility == Fraction(9)
+
+
+BUDGETED = {
+    "best_response_with_table": lambda inst, budget: sm.best_response_with_table(inst, budget=budget),
+    "choice_tree_best": lambda inst, budget: sm.choice_tree_best(inst, budget=budget),
+    "dominated_greedy_best": lambda inst, budget: sm.dominated_greedy_best(inst, budget=budget),
+    "is_crucial": lambda inst, budget: sm.is_crucial(inst, budget=budget),
+    "sweep": lambda inst, budget: sweeps.sweep([("random", 3, 6, 42)], budget=budget),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(BUDGETED))
+@pytest.mark.parametrize("budget", [True, 2.5, "5", -3])
+def test_budget_keyword_must_be_a_non_negative_int(ex1, solver, budget):
+    with pytest.raises(ValueError, match="budget must be a non-negative integer"):
+        BUDGETED[solver](ex1, budget)
+
+
+@pytest.mark.parametrize("solver", sorted(BUDGETED))
+def test_budget_zero_stores_nothing(ex1, solver):
+    with pytest.raises(sm.BudgetExceeded):
+        BUDGETED[solver](ex1, 0)

@@ -235,6 +235,34 @@ def test_with_policy_revalidates(ex1):
     assert variant.items == ex1.items
 
 
+EXAMPLE1_REPR = (
+    "Instance(items=('a', 'b', 'c', 'd', 'e'), n_agents=3, policy=(1, 3, 2, 2, 1), "
+    "rankings={1: ('a', 'b', 'c', 'd', 'e'), 2: ('c', 'b', 'e', 'd', 'a'), 3: ('e', 'b', 'd', 'c', 'a')}, "
+    "utility={'a': Fraction(5, 1), 'b': Fraction(4, 1), 'c': Fraction(3, 1), 'd': Fraction(2, 1), "
+    "'e': Fraction(1, 1)})"
+)
+
+
+def test_instance_is_a_frozen_record_of_five_fields(ex1):
+    assert repr(ex1) == EXAMPLE1_REPR
+    fields = (ex1.items, ex1.n_agents, ex1.policy, ex1.rankings, ex1.utility)
+    assert sm.Instance(*fields) == ex1
+    assert sm.Instance(*fields[:2], policy=ex1.policy, rankings=ex1.rankings, utility=ex1.utility) == ex1
+    assert ex1 != ex1.with_policy((3, 2, 1, 2, 1)) and ex1 != fields
+    # The view is derived, so it takes no part in equality.
+    other = example1()
+    other.__dict__["view"] = None
+    assert other == ex1
+    for name in ["items", "view", "m", "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(ex1, name, None)
+        with pytest.raises(AttributeError):
+            delattr(ex1, name)
+    with pytest.raises(TypeError):
+        hash(ex1)
+    assert repr(ex1) == EXAMPLE1_REPR
+
+
 def test_agent_check_does_not_grow_with_agents_value():
     doc = {
         "items": ["a", "b", "c"],
