@@ -241,6 +241,10 @@ def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple
     """The manipulator's exact optimum (strategy, trace, bundle, utility) and
     the table of every reachable state.
 
+    The solution's ``sequence`` is the greedy trace of the optimal chain's
+    turn order, a policy dominated by the instance's.  It can differ from
+    ``engine.execute(inst, strategy)`` but gives the same bundle.
+
     Raises :class:`BudgetExceeded` when the table would store more than
     ``budget`` states (default 10**7, overridable via the
     ``SEQMANIP_BUDGET`` environment variable).
@@ -254,17 +258,7 @@ def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple
     }
     # the best total; among equal totals the smallest state (keys order as states do)
     best_key = min(totals, key=lambda key: (-totals[key], key))
-    best_total = Fraction(totals[best_key], inst.view.scale)
     turns = _chain_turns(table, len(table.stages) - 1, best_key)
     seq = engine._greedy_trace(inst, turns + [MANIPULATOR] * (inst.m - len(turns)))
-    strategy = engine.strategy_from_sequence(inst, seq)
-    bundle = engine.manipulator_bundle(inst, seq)
-    if bundle.total_utility != best_total:
-        raise RuntimeError("internal error: replayed trace utility disagrees with table")
-    replayed = engine.manipulator_bundle(inst, engine.execute(inst, strategy))
-    if replayed.items != bundle.items:
-        raise RuntimeError(
-            "internal error: associated strategy does not recover the optimal "
-            "bundle on the original policy"
-        )
-    return Solution(strategy, seq, bundle), table
+    solution = engine._certify(inst, seq, totals[best_key], "the optimal chain's strategy does not recover its bundle")
+    return Solution(solution.strategy, seq, solution.bundle), table

@@ -7,9 +7,9 @@ An allocation sequence is a tuple of ``(item, agent)`` steps.  A sequence
 carries its own turn order, so partial traces produced under policies other
 than the instance's own can still be checked for feasibility and
 greediness; the instance only supplies rankings and utilities.
-:func:`_greedy_trace` is the one greedy allocation outside the solvers'
-inner loops: the greedy procedure, the DP's replay and both certificates
-run it on their turn orders.
+:func:`_allocate` is the one walk over rankings outside the solvers' inner
+loops: executions, greedy traces (:func:`_greedy_trace`) and feasibility
+checks run it.  :func:`_certify` is the solvers' one self-check.
 
 The budget of a search (the DP's stored states, the oracles' expanded states
 or policies) is resolved here, so that every solver shares one rule and one
@@ -72,7 +72,9 @@ class Bundle(NamedTuple):
 
 
 class Solution(NamedTuple):
-    """A picking strategy, its trace on the instance, and the manipulator's bundle."""
+    """A picking strategy, a trace, and the manipulator's bundle in both:
+    the strategy's trace on the instance, or from the DP the greedy trace of
+    a dominated turn order, which can differ but gives the same bundle."""
 
     strategy: PickingStrategy
     sequence: AllocationSequence
@@ -115,19 +117,32 @@ def _solution_from_strategy(inst: Instance, strategy: PickingStrategy) -> Soluti
     return Solution(strategy, seq, manipulator_bundle(inst, seq))
 
 
+def _certify(inst: Instance, seq: Sequence[Step], weight: int, what: str) -> Solution:
+    """The solution of ``seq``'s strategy on the instance, once its bundle is
+    ``seq``'s manipulator items and worth ``weight``; else the solver that
+    made ``seq`` has a bug: ``RuntimeError("internal error: <what>")``."""
+    solution = _solution_from_strategy(inst, strategy_from_sequence(inst, seq))
+    bundle = solution.bundle
+    if bundle.items != bundle_items(seq, MANIPULATOR) or bundle.total_utility != Fraction(weight, inst.view.scale):
+        raise RuntimeError(f"internal error: {what}")
+    return solution
+
+
 def _allocate(
     inst: Instance, prefs: dict[Agent, Sequence[int]], turns: Sequence[Agent], choosers: Sequence[Agent]
 ) -> AllocationSequence:
     """The trace in which turn ``t``, taken by ``turns[t]``, takes the first
-    free item of ``prefs[choosers[t]]``.  One monotone cursor per ranking
-    keeps it linear in the number of items."""
-    first_free = inst.view.first_free
+    item of ``prefs[choosers[t]]`` not yet in the byte mask ``taken``.  One
+    monotone cursor per ranking keeps it linear in the number of items."""
     cursors = dict.fromkeys(prefs, 0)
     taken = bytearray(inst.m)
     steps: list[Step] = []
     for agent, who in zip(turns, choosers):
         pref = prefs[who]
-        cursors[who] = cur = first_free(pref, taken, cursors[who])
+        cur = cursors[who]
+        while taken[pref[cur]]:
+            cur += 1
+        cursors[who] = cur
         taken[pref[cur]] = 1
         steps.append((inst.items[pref[cur]], agent))
     return tuple(steps)
@@ -135,22 +150,24 @@ def _allocate(
 
 def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
     """Feasibility of a (partial) trace against its own recorded turn order:
-    known items, no duplicates, and every non-manipulator step takes that
-    agent's most preferred remaining item."""
+    known items, no duplicates, agents in 1..n, and every non-manipulator
+    step takes that agent's most preferred remaining item.  Re-run on its
+    turns with the manipulator playing its strategy, it must not change."""
     view = inst.view
-    taken = bytearray(inst.m)
-    for item, agent in seq:
-        i = view.index.get(item)
-        if i is None or taken[i]:
-            return False
-        if agent != MANIPULATOR and view.top(agent, taken) != i:
-            return False
-        taken[i] = 1
-    return True
+    steps = tuple((item, agent) for item, agent in seq)
+    picked = {item for item, _ in steps}
+    if len(picked) != len(steps) or not picked.issubset(view.index):
+        return False
+    turns = [agent for _, agent in steps]
+    if not all(agent in view.prefs for agent in turns):
+        return False
+    strategy = strategy_from_sequence(inst, steps)
+    prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
+    return _allocate(inst, prefs, turns, turns) == steps
 
 
 def strategy_from_sequence(inst: Instance, seq: Sequence[Step]) -> PickingStrategy:
-    """One picking strategy associated with a complete feasible trace: the
+    """One picking strategy associated with a feasible trace: the
     manipulator's items in allocation order, all other items appended in the
     manipulator's truthful order."""
     picked = [item for item, agent in seq if agent == MANIPULATOR]

@@ -23,7 +23,7 @@ import operator
 import random
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 Item = str
 Agent = int
@@ -69,9 +69,7 @@ class _IntegerView(NamedTuple):
     the position of item ``i`` in that ranking, and ``weight[i]`` the
     manipulator's utility for item ``i`` times ``scale``, the least common
     multiple of the utilities' denominators: an exact Python int, so that
-    utility ``u`` is ``Fraction(weight[i], scale)``.  An allocated set is a
-    ``bytearray`` (or ``bytes``) of length m whose entry ``i`` is 1 when item
-    ``i`` is taken, so a membership test costs the same at any m.
+    utility ``u`` is ``Fraction(weight[i], scale)``.
     """
 
     index: dict[Item, int]
@@ -79,19 +77,6 @@ class _IntegerView(NamedTuple):
     rank: dict[Agent, tuple[int, ...]]
     scale: int
     weight: tuple[int, ...]
-
-    @staticmethod
-    def first_free(pref: Sequence[int], taken: bytes | bytearray, start: int = 0) -> int:
-        """Position of the first item index in ``pref``, at or after
-        ``start``, that is not ``taken``; the caller guarantees one exists."""
-        while taken[pref[start]]:
-            start += 1
-        return start
-
-    def top(self, agent: Agent, taken: bytes | bytearray) -> int:
-        """Index of ``agent``'s most preferred item not ``taken``."""
-        pref = self.prefs[agent]
-        return pref[self.first_free(pref, taken)]
 
 
 # The fields that make an instance, in constructor order.

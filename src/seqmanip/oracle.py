@@ -7,9 +7,11 @@ dynamic program is the core cross-validation of this package.
 :func:`is_crucial` takes the optimum from the choice tree and asks each
 dominated policy only whether it reaches it (:func:`_reaches`).  The
 exhaustive searches go turn by turn over the allocated sets reachable so
-far, each held as an int with bit ``i`` set when item ``i`` is taken: a
-non-manipulator turn is forced and a manipulator turn branches over its
-picks.  No search recurses, so only a budget limits an instance's length.
+far: a non-manipulator turn is forced and a manipulator turn branches over
+its picks.  No search recurses, so only a budget limits an instance's
+length.  Every allocated set here is an int with bit ``i`` set when item
+``i`` is taken, and :func:`_top` is the one scan for an agent's top
+remaining item in one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .engine import (
     Solution,
     _greedy_trace,
     _resolve_budget,
-    _solution_from_strategy,
 )
 from .model import MANIPULATOR, Instance
 from .policy import Policy, decompose, enumerate_dominated
@@ -147,10 +148,10 @@ def _choice_tree(inst: Instance, budget: int) -> tuple[int, Solution]:
             pick = _top(prefs[agent], taken, bits)
         steps.append((inst.items[pick], agent))
         taken |= bits[pick]
-    solution = _solution_from_strategy(inst, engine.strategy_from_sequence(inst, tuple(steps)))
     optimum = best[0] >> m
+    solution = engine._certify(inst, steps, optimum, "rebuilt trace does not match the optimum of the backward pass")
     ranks = sum(1 << (m - 1 - rank1[view.index[item]]) for item in solution.bundle.items)
-    if solution.utility != Fraction(optimum, view.scale) or ranks != best[0] & ((1 << m) - 1):
+    if ranks != best[0] & ((1 << m) - 1):
         raise RuntimeError("internal error: rebuilt trace does not match the optimum of the backward pass")
     return optimum, solution
 
@@ -178,76 +179,51 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     dec = decompose(inst.policy)
     z, core = dec.position_vector, dec.core
     k, m_core = len(z), len(core)
-    taken = bytearray(m)
-    cursors = dict.fromkeys(prefs, 0)  # per ranking, as in engine._allocate
+    bits = [1 << i for i in range(m)]
     turns: list[int] = []  # the policy prefix being walked
-    undo: list[tuple[int, int, int]] = []  # per turn of it: (item, whose cursor moved, its old value)
-    i = c = total = 0  # the prefix's manipulator and core turns and its greedy bundle's weight
+    saved: list[tuple[int, int, int]] = []  # per turn of it: (taken, c, total) before the turn
+    taken = c = total = 0  # the prefix's allocated set, core turns and greedy bundle's weight
+    core_next = False  # whether the prefix's next turn must be a core turn
     best_weight: int | None = None
     best_policy: Policy | None = None
     count = 0
-
-    def push(agent: int) -> None:
-        """Append a turn of ``agent`` to the prefix and make its greedy pick."""
-        nonlocal i, c, total
-        # A manipulator turn takes from the next core agent's ranking.
-        who = agent if agent != MANIPULATOR else core[c] if c < m_core else MANIPULATOR
-        pref = prefs[who]
-        cur = old = cursors[who]
-        while taken[pref[cur]]:
-            cur += 1
-        item = pref[cur]
-        taken[item] = 1
-        cursors[who] = cur
-        turns.append(agent)
-        undo.append((item, who, old))
-        if agent == MANIPULATOR:
-            i += 1
-            total += weight[item]
-        else:
-            c += 1
-
-    def pop() -> int:
-        """Take the prefix's last turn back; returns whose it was."""
-        nonlocal i, c, total
-        item, who, old = undo.pop()
-        taken[item] = 0
-        cursors[who] = old
-        agent = turns.pop()
-        if agent == MANIPULATOR:
-            i -= 1
-            total -= weight[item]
-        else:
-            c -= 1
-        return agent
-
     # Depth first without recursion, so that no policy is too long for it.
     while True:
         # Complete the prefix with each turn's first option: a manipulator
         # turn when the i-th may come this late, else a core turn.
         while len(turns) < m:
-            push(MANIPULATOR if i < k and len(turns) + 1 >= z[i] else core[c])
+            i = len(turns) - c
+            mine = not core_next and i < k and len(turns) + 1 >= z[i]
+            core_next = False
+            saved.append((taken, c, total))
+            # Either turn takes from the next core agent's ranking.
+            who = core[c] if c < m_core else MANIPULATOR
+            item = _top(prefs[who], taken, bits)
+            taken |= bits[item]
+            if mine:
+                turns.append(MANIPULATOR)
+                total += weight[item]
+            else:
+                turns.append(who)
+                c += 1
         count += 1
         if count > budget:
             raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
         if best_weight is None or total > best_weight:
             best_weight, best_policy = total, tuple(turns)
-        # Back up to the last manipulator turn that could be a core turn.
+        # Back up to the last manipulator turn that could be a core turn,
+        # and make it one.
         while turns:
-            if pop() == MANIPULATOR and c < m_core:
-                push(core[c])
+            agent = turns.pop()
+            taken, c, total = saved.pop()
+            if agent == MANIPULATOR and c < m_core:
+                core_next = True
                 break
         else:
             break
     assert best_weight is not None and best_policy is not None
-    strategy = engine.strategy_from_sequence(inst, _greedy_trace(inst, best_policy))
-    solution = _solution_from_strategy(inst, strategy)
-    if solution.utility != Fraction(best_weight, view.scale):
-        raise RuntimeError(
-            "internal error: greedy strategy of the best dominated policy does "
-            "not recover the same utility on the original instance"
-        )
-    return solution, best_policy
+    what = "greedy strategy of the best dominated policy does not recover its bundle on the original policy"
+    return engine._certify(inst, _greedy_trace(inst, best_policy), best_weight, what), best_policy
 
 
 def is_crucial(inst: Instance, budget: int | None = None, optimum: Fraction | None = None) -> bool:

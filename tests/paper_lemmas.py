@@ -1,9 +1,10 @@
 """The paper's trace definitions and lemma operations, for the tests.
 
 No solver and no command needs these; the tests use them to check the
-paper's definitions and lemmas on small instances: feasibility with a
-witness strategy, the considered-by test, the invariance relation between
-partial traces, prefix splicing, and moving a manipulator turn later.
+paper's definitions and lemmas on small instances: feasibility step by
+step and with a witness strategy, the considered-by test, the invariance
+relation between partial traces, prefix splicing, and moving a
+manipulator turn later.
 """
 
 from __future__ import annotations
@@ -14,6 +15,29 @@ from typing import Sequence
 from seqmanip.engine import AllocationSequence, PickingStrategy, Step, strategy_from_sequence, trace_feasible
 from seqmanip.model import MANIPULATOR, Agent, Instance, Item
 from seqmanip.policy import Policy
+
+
+def trace_feasible_stepwise(inst: Instance, seq: Sequence[Step]) -> bool:
+    """Reference for :func:`seqmanip.engine.trace_feasible`: the definition
+    checked one step at a time.  Each item must be known and not yet taken,
+    each agent in 1..n, and each non-manipulator step must take the agent's
+    top remaining item, found by scanning its ranking from the top.  So
+    the walk is quadratic in the trace's length."""
+    view = inst.view
+    taken = bytearray(inst.m)
+    for item, agent in seq:
+        i = view.index.get(item)
+        if i is None or taken[i] or agent not in view.prefs:
+            return False
+        if agent != MANIPULATOR:
+            pref = view.prefs[agent]
+            j = 0
+            while taken[pref[j]]:
+                j += 1
+            if pref[j] != i:
+                return False
+        taken[i] = 1
+    return True
 
 
 def check_feasible(

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import seqmanip as sm
-from seqmanip import dp
+from seqmanip import engine
 from seqmanip.cli import main
 from _util import example1_document
 
@@ -153,18 +153,24 @@ def test_budget_with_more_digits_than_int_converts_is_invalid_input(ex1_path):
         assert len(proc.stderr) < 500 and proc.stdout == ""
 
 
-def test_failed_self_check_exits_mismatch_without_traceback(capsys, monkeypatch, ex1_path):
-    real_build = dp._build
+@pytest.mark.parametrize(
+    "argv",
+    [("solve",), ("oracle", "--method", "choice-tree"), ("oracle", "--method", "dominated-greedy")],
+    ids=["solve", "choice-tree", "dominated-greedy"],
+)
+def test_failed_self_check_exits_mismatch_without_traceback(capsys, monkeypatch, ex1_path, argv):
+    real_execute = engine.execute
 
-    def skewed_build(inst, budget):
-        table, final = real_build(inst, budget)
-        # Every final weight off by one, so the optimum's replay disagrees.
-        return table, {state: (w + 1, taken) for state, (w, taken) in final.items()}
+    def truthful_execute(inst, strategy):
+        # Every certificate executes its strategy; playing the truthful
+        # ranking instead gives example 1 a bundle worth 7, not 9.
+        return real_execute(inst, inst.manipulator_ranking)
 
-    monkeypatch.setattr(dp, "_build", skewed_build)
-    code, out, err = run_cli(capsys, "solve", ex1_path)
+    monkeypatch.setattr(engine, "execute", truthful_execute)
+    code, out, err = run_cli(capsys, argv[0], ex1_path, *argv[1:])
     assert code == 2
     assert "error: internal error" in err
+    assert "Traceback" not in err
     assert out == ""
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import seqmanip as sm
 from seqmanip import sweeps
-from paper_lemmas import check_feasible, considered_before, invariance_related, splice
+from paper_lemmas import check_feasible, considered_before, invariance_related, splice, trace_feasible_stepwise
 from _util import (
     check_dominance_construction,
     check_move_preservation,
@@ -138,6 +138,47 @@ def test_is_greedy_vacuous_without_manipulator_turns():
 def test_is_greedy_raises_on_infeasible(ex1):
     with pytest.raises(ValueError):
         sm.is_greedy(ex1, (("a", 1), ("b", 3)))  # agent 3 wants e, not b
+
+
+def test_unknown_agent_is_infeasible(ex1):
+    for agent in (0, ex1.n_agents + 1):
+        trace = (("a", 1), ("e", agent))
+        assert not sm.trace_feasible(ex1, trace)
+        with pytest.raises(ValueError):
+            sm.is_greedy(ex1, trace)
+
+
+def _mutants(inst, trace, rng):
+    """Traces near ``trace``: two steps swapped, an item repeated, an
+    unknown item, and an agent out of range."""
+    if len(trace) >= 2:
+        i, j = sorted(rng.sample(range(len(trace)), 2))
+        swapped = list(trace)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield tuple(swapped)
+        yield trace[:j] + ((trace[i][0], trace[j][1]),) + trace[j + 1 :]
+    if trace:
+        k = rng.randrange(len(trace))
+        yield trace[:k] + (("no such item", trace[k][1]),) + trace[k + 1 :]
+        bad_agent = rng.choice((0, inst.n_agents + 1))
+        yield trace[:k] + ((trace[k][0], bad_agent),) + trace[k + 1 :]
+
+
+def test_trace_feasible_matches_stepwise_reference():
+    rng = random.Random(43)
+    verdicts = {True: 0, False: 0}
+    for inst, _seed in random_instances(200, seed=43, max_items=8):
+        # a trace of the instance's policy and one of a random turn order
+        other = inst.with_policy(rng.choice(range(1, inst.n_agents + 1)) for _ in range(inst.m))
+        for variant in (inst, other):
+            trace = sm.execute(variant, random_strategy(inst, rng))
+            for end in range(len(trace) + 1):
+                prefix = trace[:end]
+                for seq in (prefix, *_mutants(inst, prefix, rng)):
+                    expected = trace_feasible_stepwise(inst, seq)
+                    assert sm.trace_feasible(inst, seq) == expected, (inst, seq)
+                    verdicts[expected] += 1
+    assert min(verdicts.values()) > 1000
 
 
 def test_invariance_relation_reflexive(ex1):

@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 import seqmanip as sm
 from _util import random_instances
 
@@ -49,13 +51,16 @@ def test_greedy_optimal_on_crucial_instances():
     assert hits > 5
 
 
-def test_greedy_runtime_is_near_linear():
+@pytest.mark.parametrize("name", ["greedy_alg", "trace_feasible", "is_greedy"])
+def test_greedy_runtime_is_near_linear(name):
     def best_time(m: int) -> float:
         inst = sm.generate_random_instance(3, m, seed=m)
+        fn = getattr(sm, name)
+        args = (inst,) if name == "greedy_alg" else (inst, sm.greedy_alg(inst)[0])
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            sm.greedy_alg(inst)
+            fn(*args)
             best = min(best, time.perf_counter() - start)
         return best
 
