@@ -46,7 +46,6 @@ from .engine import (
     _resolve_budget,
 )
 from .model import MANIPULATOR, Agent, Instance
-from .policy import decompose
 
 
 class DPState(NamedTuple):
@@ -153,14 +152,13 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
     last rank, skips the items the other agents rank above their last
     picks, and needs no marking: every pick of the segment lies further on
     in its ranking."""
-    dec = decompose(inst.policy)
+    dec = inst.decomposition
     table = DPTable(inst, dec.core)
     m = inst.m
     view = inst.view
-    weight = view.weight
+    weight, bit = view.weight, view.bits
     low, y_shift, shifts = table.low, table.y_shift, table.shifts
     y_unit = 1 << y_shift
-    bit = [1 << i for i in range(m)]
     # placed[a][i]: agent a's key field holding item i as its last pick;
     # above[a][r]: agent a's top r items, as a bit set.
     placed, above = {}, {}
@@ -171,7 +169,7 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
             sets.append(sets[-1] | bit[i])
     stage = table.stages[0]
     stored = 1
-    for x in range(1, dec.m_prime + 1):
+    for x in range(1, len(dec.core) + 1):
         stage_agent = dec.core[x - 1]
         k_x = dec.k_prefix[x]
         pref = view.prefs[stage_agent]
@@ -251,14 +249,19 @@ def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple
     """
     table, final = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
     weight = inst.view.weight
+    every = (1 << inst.m) - 1
     # The manipulator takes every item left after the last segment.
-    totals = {
-        key: utility + sum(w for i, w in enumerate(weight) if not taken >> i & 1)
-        for key, (utility, taken) in final.items()
-    }
+    totals = {}
+    for key, (total, taken) in final.items():
+        free = every & ~taken
+        while free:
+            total += weight[(free & -free).bit_length() - 1]
+            free &= free - 1
+        totals[key] = total
     # the best total; among equal totals the smallest state (keys order as states do)
-    best_key = min(totals, key=lambda key: (-totals[key], key))
+    best = max(totals.values())
+    best_key = min(key for key, total in totals.items() if total == best)
     turns = _chain_turns(table, len(table.stages) - 1, best_key)
     seq = engine._greedy_trace(inst, turns + [MANIPULATOR] * (inst.m - len(turns)))
-    solution = engine._certify(inst, seq, totals[best_key], "the optimal chain's strategy does not recover its bundle")
+    solution = engine._certify(inst, seq, best, "the optimal chain's strategy does not recover its bundle")
     return Solution(solution.strategy, seq, solution.bundle), table

@@ -22,7 +22,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .model import MANIPULATOR, Agent, Instance, Item
+from .model import MANIPULATOR, Agent, Instance, Item, _clip
 
 Step = tuple[Item, Agent]
 AllocationSequence = tuple[Step, ...]
@@ -104,28 +104,27 @@ def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
     its truthful ranking; manipulator turns take the earliest remaining item
     of ``strategy``.  Pure function of its arguments.
     """
-    if len(strategy) != inst.m or set(strategy) != set(inst.items):
-        raise ValueError("picking strategy must be a permutation of the item set")
     view = inst.view
+    if len(strategy) != inst.m or set(strategy) != view.index.keys():
+        raise ValueError("picking strategy must be a permutation of the item set")
     # The manipulator picks along its strategy as the others do along their rankings.
     prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
     return _allocate(inst, prefs, inst.policy, inst.policy)
 
 
-def _solution_from_strategy(inst: Instance, strategy: PickingStrategy) -> Solution:
-    seq = execute(inst, strategy)
-    return Solution(strategy, seq, manipulator_bundle(inst, seq))
-
-
 def _certify(inst: Instance, seq: Sequence[Step], weight: int, what: str) -> Solution:
-    """The solution of ``seq``'s strategy on the instance, once its bundle is
-    ``seq``'s manipulator items and worth ``weight``; else the solver that
-    made ``seq`` has a bug: ``RuntimeError("internal error: <what>")``."""
-    solution = _solution_from_strategy(inst, strategy_from_sequence(inst, seq))
-    bundle = solution.bundle
-    if bundle.items != bundle_items(seq, MANIPULATOR) or bundle.total_utility != Fraction(weight, inst.view.scale):
+    """The solution of ``seq``'s strategy on the instance, once executing
+    that strategy gives ``seq``'s manipulator items, worth the integer
+    ``weight``; else the solver that made ``seq`` has a bug:
+    ``RuntimeError("internal error: <what>")``.  The utility becomes a
+    ``Fraction`` only once the check has passed."""
+    strategy, picked = _strategy(inst, seq)
+    executed = execute(inst, strategy)
+    items = bundle_items(executed, MANIPULATOR)
+    view = inst.view
+    if items != picked or sum(view.weight[view.index[i]] for i in items) != weight:
         raise RuntimeError(f"internal error: {what}")
-    return solution
+    return Solution(strategy, executed, Bundle(items, Fraction(weight, view.scale)))
 
 
 def _allocate(
@@ -134,6 +133,7 @@ def _allocate(
     """The trace in which turn ``t``, taken by ``turns[t]``, takes the first
     item of ``prefs[choosers[t]]`` not yet in the byte mask ``taken``.  One
     monotone cursor per ranking keeps it linear in the number of items."""
+    items = inst.items
     cursors = dict.fromkeys(prefs, 0)
     taken = bytearray(inst.m)
     steps: list[Step] = []
@@ -142,9 +142,10 @@ def _allocate(
         cur = cursors[who]
         while taken[pref[cur]]:
             cur += 1
-        cursors[who] = cur
-        taken[pref[cur]] = 1
-        steps.append((inst.items[pref[cur]], agent))
+        cursors[who] = cur + 1
+        i = pref[cur]
+        taken[i] = 1
+        steps.append((items[i], agent))
     return tuple(steps)
 
 
@@ -158,10 +159,11 @@ def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
     picked = {item for item, _ in steps}
     if len(picked) != len(steps) or not picked.issubset(view.index):
         return False
-    turns = [agent for _, agent in steps]
-    if not all(agent in view.prefs for agent in turns):
+    try:
+        strategy = strategy_from_sequence(inst, steps)
+    except ValueError:  # an agent that is not an int in 1..n
         return False
-    strategy = strategy_from_sequence(inst, steps)
+    turns = [agent for _, agent in steps]
     prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
     return _allocate(inst, prefs, turns, turns) == steps
 
@@ -169,11 +171,29 @@ def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
 def strategy_from_sequence(inst: Instance, seq: Sequence[Step]) -> PickingStrategy:
     """One picking strategy associated with a feasible trace: the
     manipulator's items in allocation order, all other items appended in the
-    manipulator's truthful order."""
-    picked = [item for item, agent in seq if agent == MANIPULATOR]
-    picked_set = set(picked)
+    manipulator's truthful order.  Raises ``ValueError`` on a step whose
+    agent is not an int in 1..n, or a manipulator item that is unknown or
+    repeated."""
+    return _strategy(inst, seq)[0]
+
+
+def _strategy(inst: Instance, seq: Sequence[Step]) -> tuple[PickingStrategy, set[Item]]:
+    """:func:`strategy_from_sequence`, with the set of the manipulator's items."""
+    n = inst.n_agents
+    index = inst.view.index
+    picked: list[Item] = []
+    picked_set: set[Item] = set()
+    for item, agent in seq:
+        if type(agent) is not int or not 1 <= agent <= n:
+            raise ValueError(f"agent index {_clip(repr(agent))} out of range 1..{n}")
+        if agent == MANIPULATOR:
+            if item in picked_set or item not in index:
+                problem = "repeated" if item in picked_set else "unknown"
+                raise ValueError(f"{problem} item {_clip(repr(item))} in the manipulator's picks")
+            picked.append(item)
+            picked_set.add(item)
     rest = [item for item in inst.manipulator_ranking if item not in picked_set]
-    return tuple(picked + rest)
+    return tuple(picked + rest), picked_set
 
 
 def _greedy_trace(inst: Instance, turns: Sequence[Agent]) -> AllocationSequence:

@@ -10,8 +10,10 @@ holds the utilities as exact integer weights: each utility times ``scale``,
 the least common multiple of their denominators.  Sums and comparisons of
 weights order exactly as those of the utilities, so the solvers add and
 compare Python ints and turn a result back into a ``Fraction`` once, as
-``Fraction(total, scale)``.  ``Instance.with_policy`` checks only the new
-policy and shares the view.
+``Fraction(total, scale)``.  Next to the view, each instance keeps its
+policy's decomposition (``Instance.decomposition``, see
+:func:`seqmanip.policy.decompose`).  ``Instance.with_policy`` checks only the
+new policy, decomposes it, and shares the view.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class _IntegerView(NamedTuple):
     the position of item ``i`` in that ranking, and ``weight[i]`` the
     manipulator's utility for item ``i`` times ``scale``, the least common
     multiple of the utilities' denominators: an exact Python int, so that
-    utility ``u`` is ``Fraction(weight[i], scale)``.
+    utility ``u`` is ``Fraction(weight[i], scale)``.  ``bits[i]`` is
+    ``1 << i``, item ``i``'s bit in an allocated set held as an int.
     """
 
     index: dict[Item, int]
@@ -77,6 +80,7 @@ class _IntegerView(NamedTuple):
     rank: dict[Agent, tuple[int, ...]]
     scale: int
     weight: tuple[int, ...]
+    bits: tuple[int, ...]
 
 
 # The fields that make an instance, in constructor order.
@@ -92,7 +96,8 @@ class Instance:
     manipulator's cardinal value per item and must decrease strictly along the
     manipulator's own ranking.  Instances are immutable after construction and
     safe to share between concurrent solver calls.  Two instances are equal
-    when their five fields are; ``view`` takes no part.
+    when their five fields are; ``view``, ``decomposition`` and ``m`` take no
+    part.
     """
 
     items: tuple[Item, ...]
@@ -102,11 +107,16 @@ class Instance:
     utility: Mapping[Item, Fraction]
     # The integer view every solver works on, built by the validator.
     view: _IntegerView
+    # ``decompose(policy)``, made once per policy, and the number of items.
+    decomposition: _policies.PolicyDecomposition
+    m: int
 
     def __init__(self, items, n_agents, policy, rankings, utility):
         fields = self.__dict__
         fields.update(items=items, n_agents=n_agents, policy=policy, rankings=rankings, utility=utility)
         fields["view"] = _validate(self)
+        fields["decomposition"] = _policies.decompose(policy)
+        fields["m"] = len(items)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -126,19 +136,14 @@ class Instance:
         raise AttributeError(f"cannot delete field {name!r}")
 
     @property
-    def m(self) -> int:
-        """Number of items."""
-        return len(self.items)
-
-    @property
     def k1(self) -> int:
         """Number of manipulator turns in the policy."""
-        return sum(1 for a in self.policy if a == MANIPULATOR)
+        return len(self.decomposition.position_vector)
 
     @property
     def m_prime(self) -> int:
         """Number of non-manipulator turns in the policy."""
-        return self.m - self.k1
+        return len(self.decomposition.core)
 
     @property
     def manipulator_ranking(self) -> tuple[Item, ...]:
@@ -147,13 +152,14 @@ class Instance:
     def with_policy(self, policy: Iterable[Agent]) -> "Instance":
         """A copy of this instance under a different policy.
 
-        Only the new policy is checked: items, rankings and utilities are the
-        same objects, so the copy shares this instance's integer view.
+        Only the new policy is checked and decomposed: items, rankings and
+        utilities are the same objects, so the copy shares this instance's
+        integer view.
         """
         policy = _check_policy(tuple(policy), len(self.items), self.n_agents)
         # A shallow copy, as copy.copy makes it, without its generic dispatch.
         variant = object.__new__(Instance)
-        variant.__dict__.update(self.__dict__, policy=policy)
+        variant.__dict__.update(self.__dict__, policy=policy, decomposition=_policies.decompose(policy))
         return variant
 
 
@@ -243,7 +249,7 @@ def _validate(inst: Instance) -> _IntegerView:
                 f"utility inconsistent with ranking: u({b})={_clip(str(utility[better]))} "
                 f"must exceed u({w})={_clip(str(utility[worse]))}",
             )
-    return _IntegerView(index, prefs, rank, scale, weight)
+    return _IntegerView(index, prefs, rank, scale, weight, tuple([1 << i for i in range(m)]))
 
 
 def make_instance(
@@ -375,3 +381,7 @@ def generate_tightness_instance(k: int) -> Instance:
         rankings={1: ["g1", "g2", "g3"], 2: ["g2", "g3", "g1"]},
         utility={"g1": Fraction(1), "g2": 1 - eps, "g3": eps},
     )
+
+
+# ``policy`` imports this module's names, so it is imported once they exist.
+from . import policy as _policies  # noqa: E402

@@ -29,12 +29,12 @@ from .engine import (
     _resolve_budget,
 )
 from .model import MANIPULATOR, Instance
-from .policy import Policy, decompose, enumerate_dominated
+from .policy import Policy, enumerate_dominated
 
 DEFAULT_POLICY_BUDGET = 10**6
 
 
-def _top(pref: Sequence[int], taken: int, bits: list[int]) -> int:
+def _top(pref: Sequence[int], taken: int, bits: Sequence[int]) -> int:
     """The first item index in ``pref`` that is not in the allocated set
     ``taken``; the caller guarantees one exists."""
     j = 0
@@ -52,8 +52,7 @@ def _reachable(inst: Instance, picks: Sequence[int], budget: int) -> list[set[in
     are added, so a layer that would outgrow the budget is never finished.
     """
     m = inst.m
-    prefs = inst.view.prefs
-    bits = [1 << i for i in range(m)]
+    prefs, bits = inst.view.prefs, inst.view.bits
     pick_bits = [bits[i] for i in picks]
     layers = [{0}]
     count = 1
@@ -115,7 +114,7 @@ def _choice_tree(inst: Instance, budget: int) -> tuple[int, Solution]:
     rank1 = view.rank[MANIPULATOR]
     prefs = view.prefs
     policy = inst.policy
-    bits = [1 << i for i in range(m)]
+    bits = view.bits
     key = [(w << m) | (1 << (m - 1 - r)) for w, r in zip(view.weight, rank1)]
     key_bits = list(zip(key, bits))
     layers = _reachable(inst, range(m), budget)
@@ -175,41 +174,43 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
     m = inst.m
     view = inst.view
-    weight, prefs = view.weight, view.prefs
-    dec = decompose(inst.policy)
+    weight, prefs, bits = view.weight, view.prefs, view.bits
+    dec = inst.decomposition
     z, core = dec.position_vector, dec.core
     k, m_core = len(z), len(core)
-    bits = [1 << i for i in range(m)]
+    # Once c core turns are done, either turn takes from the next core
+    # agent's ranking, or from the manipulator's own after the last one.
+    source = [prefs[agent] for agent in core] + [prefs[MANIPULATOR]]
     turns: list[int] = []  # the policy prefix being walked
     saved: list[tuple[int, int, int]] = []  # per turn of it: (taken, c, total) before the turn
     taken = c = total = 0  # the prefix's allocated set, core turns and greedy bundle's weight
     core_next = False  # whether the prefix's next turn must be a core turn
-    best_weight: int | None = None
-    best_policy: Policy | None = None
+    best_weight = -1
+    best_policy: Policy = ()
     count = 0
     # Depth first without recursion, so that no policy is too long for it.
     while True:
         # Complete the prefix with each turn's first option: a manipulator
         # turn when the i-th may come this late, else a core turn.
-        while len(turns) < m:
-            i = len(turns) - c
-            mine = not core_next and i < k and len(turns) + 1 >= z[i]
+        t = len(turns)
+        while t < m:
+            i = t - c
+            t += 1
+            mine = not core_next and i < k and t >= z[i]
             core_next = False
             saved.append((taken, c, total))
-            # Either turn takes from the next core agent's ranking.
-            who = core[c] if c < m_core else MANIPULATOR
-            item = _top(prefs[who], taken, bits)
+            item = _top(source[c], taken, bits)
             taken |= bits[item]
             if mine:
                 turns.append(MANIPULATOR)
                 total += weight[item]
             else:
-                turns.append(who)
+                turns.append(core[c])
                 c += 1
         count += 1
         if count > budget:
             raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
-        if best_weight is None or total > best_weight:
+        if total > best_weight:
             best_weight, best_policy = total, tuple(turns)
         # Back up to the last manipulator turn that could be a core turn,
         # and make it one.
@@ -221,7 +222,6 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
                 break
         else:
             break
-    assert best_weight is not None and best_policy is not None
     what = "greedy strategy of the best dominated policy does not recover its bundle on the original policy"
     return engine._certify(inst, _greedy_trace(inst, best_policy), best_weight, what), best_policy
 
@@ -246,7 +246,7 @@ def is_crucial(inst: Instance, budget: int | None = None, optimum: Fraction | No
         if scaled.denominator != 1:
             raise ValueError(f"{optimum} is not a utility of this instance's bundles")
         own = scaled.numerator
-    for count, pol in enumerate(enumerate_dominated(inst.policy), start=1):
+    for count, pol in enumerate(enumerate_dominated(inst.policy, inst.decomposition), start=1):
         if count > policy_budget:
             raise BudgetExceeded(f"dominated-policy enumeration exceeded {policy_budget} policies")
         if pol != inst.policy and _reaches(inst, pol, own, state_budget):
@@ -269,12 +269,9 @@ def _reaches(inst: Instance, policy: Policy, target: int, budget: int) -> bool:
     """
     if target <= 0:
         return True
-    m = inst.m
     view = inst.view
-    weight = view.weight
-    prefs = view.prefs
+    weight, prefs, bits = view.weight, view.prefs, view.bits
     pref1 = prefs[MANIPULATOR]
-    bits = [1 << i for i in range(m)]
     layer = {0: 0}  # allocated set -> the most weight held on reaching it
     kept = 1
     turns = inst.k1  # manipulator turns not yet taken

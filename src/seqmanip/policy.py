@@ -46,27 +46,24 @@ class PolicyDecomposition(NamedTuple):
 def decompose(policy: Sequence[Agent]) -> PolicyDecomposition:
     """Split ``policy`` into segments and derive core, positions and k(x)."""
     segments: list[tuple[Agent, ...]] = []
-    current: list[Agent] = []
+    # Equal segments share one tuple: a long policy has few segment shapes,
+    # and every instance keeps its policy's decomposition.
+    shapes: dict[tuple[Agent, ...], tuple[Agent, ...]] = {}
     core: list[Agent] = []
-    for agent in policy:
-        current.append(agent)
-        if agent != MANIPULATOR:
-            core.append(agent)
-            segments.append(tuple(current))
-            current = []
-    segments.append(tuple(current))
+    positions: list[int] = []
     k_prefix = [0]
-    for seg in segments[:-1]:
-        k_prefix.append(k_prefix[-1] + len(seg) - 1)
-    position_vector = tuple(
-        pos for pos, agent in enumerate(policy, start=1) if agent == MANIPULATOR
-    )
-    return PolicyDecomposition(
-        segments=tuple(segments),
-        core=tuple(core),
-        position_vector=position_vector,
-        k_prefix=tuple(k_prefix),
-    )
+    start = 0
+    for pos, agent in enumerate(policy):
+        if agent == MANIPULATOR:
+            positions.append(pos + 1)
+        else:
+            core.append(agent)
+            segment = tuple(policy[start : pos + 1])
+            segments.append(shapes.setdefault(segment, segment))
+            k_prefix.append(len(positions))
+            start = pos + 1
+    segments.append(tuple(policy[start:]))
+    return PolicyDecomposition(tuple(segments), tuple(core), tuple(positions), tuple(k_prefix))
 
 
 def dominates(p1: Sequence[Agent], p2: Sequence[Agent]) -> bool:
@@ -97,15 +94,19 @@ def policy_from_positions(core: Sequence[Agent], positions: Sequence[int], lengt
     return tuple(out)
 
 
-def enumerate_dominated(policy: Sequence[Agent]) -> Iterator[Policy]:
+def enumerate_dominated(
+    policy: Sequence[Agent], decomposition: PolicyDecomposition | None = None
+) -> Iterator[Policy]:
     """Yield every policy dominated by ``policy`` (itself included) lazily,
     in lexicographic order of manipulator position vectors.
+    ``decomposition`` is ``decompose(policy)`` when the caller holds it
+    already (as ``Instance.decomposition``).
 
     >>> list(enumerate_dominated((1, 2)))
     [(1, 2), (2, 1)]
     """
     policy = tuple(policy)
-    dec = decompose(policy)
+    dec = decompose(policy) if decomposition is None else decomposition
     z, core = dec.position_vector, dec.core
     m = len(policy)
     k = len(z)

@@ -7,13 +7,15 @@ from fractions import Fraction
 from typing import Iterable
 
 from .dp import best_response_with_table
-from .engine import Solution, _solution_from_strategy
+from .engine import Solution, execute, manipulator_bundle
 from .model import MANIPULATOR, Instance, Item, make_instance
 
 
 def truthful_response(inst: Instance) -> Solution:
     """Outcome when the manipulator simply plays its truthful ranking."""
-    return _solution_from_strategy(inst, inst.manipulator_ranking)
+    strategy = inst.manipulator_ranking
+    seq = execute(inst, strategy)
+    return Solution(strategy, seq, manipulator_bundle(inst, seq))
 
 
 @dataclass(frozen=True)

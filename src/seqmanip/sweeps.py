@@ -14,15 +14,14 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .dp import best_response_with_table
-from .greedy import greedy_alg
-from .model import Instance, generate_random_instance, make_instance
-from .oracle import choice_tree_best, dominated_greedy_best, is_crucial
+from .engine import DEFAULT_STATE_BUDGET, BudgetExceeded, _allocate, _greedy_trace, _resolve_budget, manipulator_bundle
+from .model import Instance, Item, generate_random_instance
+from .oracle import DEFAULT_POLICY_BUDGET, choice_tree_best, dominated_greedy_best, is_crucial
 from .responses import truthful_response
-from . import engine
 
 # Instance specs: ("exhaustive", n, policy, rankings-of-others) or ("random", n, m, seed).
 Spec = tuple
@@ -55,17 +54,24 @@ def iter_random_specs(
         yield ("random", n, m, rng.randrange(2**32))
 
 
+@cache
+def _exhaustive_fields(m: int) -> tuple[tuple[Item, ...], tuple[Item, ...], dict[Item, Fraction]]:
+    """The items, manipulator's ranking and utilities that the exhaustive
+    specs with ``m`` items share, as ``make_instance`` would store them."""
+    ranking = tuple(f"g{i}" for i in range(1, m + 1))
+    utility = {item: Fraction(m - pos) for pos, item in enumerate(ranking)}
+    return tuple(sorted(ranking)), ranking, utility
+
+
 def build_instance(spec: Spec) -> Instance:
     kind = spec[0]
     if kind == "exhaustive":
         _, n, policy, others = spec
-        m = len(policy)
-        items = [f"g{i}" for i in range(1, m + 1)]
-        rankings = {1: tuple(items)}
-        for agent, ranking in enumerate(others, start=2):
-            rankings[agent] = tuple(ranking)
-        utility = {item: Fraction(m - pos) for pos, item in enumerate(items)}
-        return make_instance(items, n, policy, rankings, utility)
+        items, ranking, utility = _exhaustive_fields(len(policy))
+        rankings = {1: ranking}
+        for agent, other in enumerate(others, start=2):
+            rankings[agent] = tuple(other)
+        return Instance(items, n, tuple(policy), rankings, utility)
     if kind == "random":
         _, n, m, seed = spec
         return generate_random_instance(n, m, seed)
@@ -108,16 +114,25 @@ def check_spec(
     """Solve one instance with all methods and collect the comparison.
 
     ``budget`` caps each search (DP states, choice-tree states, dominated
-    policies); ``None`` keeps each search's default.
+    policies); ``None`` keeps each search's default.  A ``BudgetExceeded``
+    or an internal error is raised again, as the same class, with the spec
+    in its message.
     """
-    inst = build_instance(spec)
-    sol_dp, table = best_response_with_table(inst, budget=budget)
-    sol_tree = choice_tree_best(inst, budget=budget)
-    sol_dom, _certificate = dominated_greedy_best(inst, budget=budget)
-    truthful = truthful_response(inst)
-    greedy_seq, _ = greedy_alg(inst)
-    greedy_utility = engine.manipulator_bundle(inst, greedy_seq).total_utility
-    crucial = is_crucial(inst, budget=budget, optimum=sol_tree.utility) if check_crucial else None
+    try:
+        inst = build_instance(spec)
+        state_budget = _resolve_budget(budget, DEFAULT_STATE_BUDGET)
+        sol_dp, table = best_response_with_table(inst, budget=state_budget)
+        sol_tree = choice_tree_best(inst, budget=state_budget)
+        sol_dom, _certificate = dominated_greedy_best(inst, budget=_resolve_budget(budget, DEFAULT_POLICY_BUDGET))
+        crucial = is_crucial(inst, budget=budget, optimum=sol_tree.utility) if check_crucial else None
+    except RuntimeError as exc:
+        if type(exc) is not BudgetExceeded and not str(exc).startswith("internal error"):
+            raise
+        raise type(exc)(f"{exc} (spec {spec!r})") from exc
+    # The traces of truthful_response and greedy_alg, whose solutions are not needed.
+    policy = inst.policy
+    truthful = _allocate(inst, inst.view.prefs, policy, policy)
+    greedy = _greedy_trace(inst, policy)
     return CheckRecord(
         spec=spec,
         n=inst.n_agents,
@@ -126,12 +141,10 @@ def check_spec(
         utility_dp=sol_dp.utility,
         utility_tree=sol_tree.utility,
         utility_dominated=sol_dom.utility,
-        utility_truthful=truthful.utility,
-        utility_greedy=greedy_utility,
+        utility_truthful=manipulator_bundle(inst, truthful).total_utility,
+        utility_greedy=manipulator_bundle(inst, greedy).total_utility,
         dp_states=len(table),
-        state_bound=(1 + inst.m) ** (inst.n_agents - 1)
-        * (inst.m_prime + 1)
-        * (inst.k1 + 1),
+        state_bound=(1 + inst.m) ** (inst.n_agents - 1) * (inst.m_prime + 1) * (inst.k1 + 1),
         crucial=crucial,
     )
 

@@ -141,11 +141,23 @@ def test_is_greedy_raises_on_infeasible(ex1):
 
 
 def test_unknown_agent_is_infeasible(ex1):
-    for agent in (0, ex1.n_agents + 1):
+    # True and 1.0 hash as agent 1 does, but only an exact int is an agent.
+    for agent in (True, 1.0, 0, ex1.n_agents + 1):
         trace = (("a", 1), ("e", agent))
         assert not sm.trace_feasible(ex1, trace)
+        assert not sm.trace_feasible(ex1, (("b", agent),))
         with pytest.raises(ValueError):
             sm.is_greedy(ex1, trace)
+        with pytest.raises(ValueError, match="agent index"):
+            sm.strategy_from_sequence(ex1, trace)
+
+
+def test_strategy_from_sequence_rejects_unknown_or_repeated_items(ex1):
+    with pytest.raises(ValueError, match="unknown item 'zz'"):
+        sm.strategy_from_sequence(ex1, (("zz", 1), ("a", 1)))
+    with pytest.raises(ValueError, match="repeated item 'a'"):
+        sm.strategy_from_sequence(ex1, (("a", 1), ("a", 1)))
+    assert sm.strategy_from_sequence(ex1, (("b", 1), ("e", 3))) == ("b", "a", "c", "d", "e")
 
 
 def _mutants(inst, trace, rng):

@@ -249,10 +249,12 @@ def test_instance_is_a_frozen_record_of_five_fields(ex1):
     assert sm.Instance(*fields) == ex1
     assert sm.Instance(*fields[:2], policy=ex1.policy, rankings=ex1.rankings, utility=ex1.utility) == ex1
     assert ex1 != ex1.with_policy((3, 2, 1, 2, 1)) and ex1 != fields
-    # The view is derived, so it takes no part in equality.
+    # The view and the decomposition are derived, so they take no part in
+    # equality or the repr.
+    assert ex1.decomposition == sm.decompose(ex1.policy)
     other = example1()
-    other.__dict__["view"] = None
-    assert other == ex1
+    other.__dict__.update(view=None, decomposition=None)
+    assert other == ex1 and repr(other) == repr(ex1)
     for name in ["items", "view", "m", "extra"]:
         with pytest.raises(AttributeError):
             setattr(ex1, name, None)
@@ -296,6 +298,9 @@ def test_with_policy_checks_only_the_policy(ex1, monkeypatch):
             bad[policy] = err.value.path
     assert variant.policy == (3, 2, 1, 2, 1)
     assert variant.view is ex1.view
+    # The copy carries its own policy's decomposition, never the parent's.
+    assert variant.decomposition == sm.decompose((3, 2, 1, 2, 1)) != ex1.decomposition
+    assert (variant.k1, variant.m_prime) == (2, 3)
     assert variant == _make_with_policy(ex1, (3, 2, 1, 2, 1))
     assert bad == {(True, 3, 2, 2, 1): "policy[0]", (1, 3, 2, 4, 1): "policy[3]", (1, 3, 2, 2): "policy"}
     for policy, path in bad.items():

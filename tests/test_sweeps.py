@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import seqmanip as sm
-from seqmanip import sweeps
+from seqmanip import engine, policy, sweeps
 
 
 def test_exhaustive_spec_counts():
@@ -23,6 +24,15 @@ def test_build_instance_exhaustive_spec():
     assert inst.rankings[1] == ("g1", "g2")
     assert inst.rankings[2] == ("g2", "g1")
     assert inst.utility["g1"] == Fraction(2)
+    # Specs of one size share the items and utilities, and build the
+    # instance make_instance builds, items sorted as it sorts them.
+    other = sweeps.build_instance(("exhaustive", 2, (2, 1), (("g1", "g2"),)))
+    assert other.items is inst.items and other.utility is inst.utility
+    items = [f"g{i}" for i in range(1, 11)]
+    spec = ("exhaustive", 2, (1, 2) * 5, (tuple(reversed(items)),))
+    made = sm.make_instance(items, 2, spec[2], {1: items, 2: spec[3][0]}, {g: 10 - i for i, g in enumerate(items)})
+    assert sweeps.build_instance(spec) == made
+    assert repr(sweeps.build_instance(spec)) == repr(made)
 
 
 def test_random_specs_deterministic():
@@ -77,3 +87,80 @@ def test_one_budget_caps_every_oracle_search(ex1):
         sm.is_crucial(ex1, budget=1)
     with pytest.raises(sm.BudgetExceeded):
         sweeps.sweep([("random", 3, 6, 42)], budget=1, check_crucial=True)
+
+
+def test_a_sweep_failure_names_its_spec(monkeypatch):
+    spec = ("random", 3, 6, 42)
+    for workers in (1, 2):
+        with pytest.raises(sm.BudgetExceeded, match=r"states; .* \(spec \('random', 3, 6, 42\)\)$"):
+            sweeps.sweep([spec], workers=workers, budget=1, check_crucial=True)
+    # Every certificate executes its strategy; playing it backwards gives
+    # the manipulator other items.
+    real_execute = engine.execute
+    monkeypatch.setattr(engine, "execute", lambda inst, strategy: real_execute(inst, strategy[::-1]))
+    with pytest.raises(RuntimeError, match=r"^internal error: .* \(spec \('random', 3, 6, 42\)\)$") as err:
+        sweeps.check_spec(spec)
+    assert type(err.value) is RuntimeError
+    assert str(err.value.__cause__).startswith("internal error: ")
+
+
+def _crucial_specs(count):
+    """``count`` specs spread over the exhaustive n=2 m=6 pool."""
+    return list(itertools.islice(sweeps.iter_exhaustive_specs(2, 6, min_items=6), 0, None, 46080 // count))
+
+
+def test_check_spec_decomposes_once_and_executes_three_times(monkeypatch):
+    calls = {"decompose": 0, "execute": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(policy, "decompose", counted("decompose", policy.decompose))
+    monkeypatch.setattr(engine, "execute", counted("execute", engine.execute))
+    specs = _crucial_specs(40)
+    for spec in specs:
+        before = dict(calls)
+        sweeps.check_spec(spec, check_crucial=True)
+        assert calls["decompose"] - before["decompose"] == 1, spec
+        assert calls["execute"] - before["execute"] <= 3, spec
+    assert calls["execute"] == 3 * len(specs)
+
+
+def _expected_record(spec):
+    """The record of ``spec`` from the public functions alone."""
+    inst = sweeps.build_instance(spec)
+    n, m = inst.n_agents, len(inst.items)
+    k1 = sum(agent == sm.MANIPULATOR for agent in inst.policy)
+    solution, table = sm.best_response_with_table(inst)
+    greedy_trace, _ = sm.greedy_alg(inst)
+    return sweeps.CheckRecord(
+        spec=spec,
+        n=n,
+        m=m,
+        k1=k1,
+        utility_dp=solution.utility,
+        utility_tree=sm.choice_tree_best(inst).utility,
+        utility_dominated=sm.dominated_greedy_best(inst)[0].utility,
+        utility_truthful=sm.truthful_response(inst).utility,
+        utility_greedy=sm.manipulator_bundle(inst, greedy_trace).total_utility,
+        dp_states=len(table),
+        state_bound=(1 + m) ** (n - 1) * (m - k1 + 1) * (k1 + 1),
+        crucial=sm.is_crucial(inst),
+    )
+
+
+def test_check_spec_matches_the_public_functions():
+    specs = [
+        *sweeps.iter_random_specs(300, [2, 3, 4], 8, 5),
+        *itertools.islice(sweeps.iter_exhaustive_specs(2, 5, min_items=5), 0, 3800, 19),
+    ]
+    assert len(specs) == 500
+    for spec in specs:
+        record = sweeps.check_spec(spec, check_crucial=True)
+        assert record == _expected_record(spec), spec
+        for name in ("utility_dp", "utility_tree", "utility_dominated", "utility_truthful", "utility_greedy"):
+            assert type(getattr(record, name)) is Fraction, (spec, name)
