@@ -22,8 +22,27 @@ above their last picks: each agent took its top remaining item, and each
 manipulator pick was the stage agent's top remaining item before that
 agent's pick.  So the build carries no allocated set.  It ORs precomputed
 prefix bit sets of the other agents' rankings, and the stage agent's scan
-starts at its last rank and only moves forward.  A stored state's trace is
-rebuilt as the greedy trace of its chain's turns
+starts at its last rank and only moves forward.
+
+A stage's step runs along chains, with O(1) amortized work per stored
+state.  The predecessors that agree on every field but y and the stage
+agent's form a group.  They share the other agents' allocated set T, so
+the stage agent scans one chain: its ranking without T's items.  A state
+of stage x holds x + y allocated items, so within a group y fixes how far
+along the chain a predecessor's scan starts and which chain item a
+candidate's stage agent receives.  A candidate's key thus depends on its
+group and its y alone, and every predecessor of stage x reaches up to the
+same y, ``min(k_x, m - x)``.  With S(y) the weight of the chain items
+before the one at y, the candidate at y takes the best
+``w_pred + S(y) - S(y_pred)`` over the group's predecessors with
+``y_pred <= y``: a running maximum along the chain.  On a tie the larger
+y_pred (the smaller q) wins, then the smaller predecessor key.  The y
+values a group has stored so far always run from its lowest up to the
+top.  So a predecessor adds new keys only below that lowest y, and adds
+them in the order the plain recurrence's loop over q would: the stage
+dicts keep that order without a sort.
+
+A stored state's trace is rebuilt as the greedy trace of its chain's turns
 (:func:`engine._greedy_trace`): per entry, q manipulator turns and then the
 stage agent's turn.  :func:`best_response_with_table` is the one solver: it
 returns the optimum together with the table, and stops with
@@ -147,11 +166,15 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
     Raises :class:`BudgetExceeded` when the table would store more than
     ``budget`` states.
 
-    A candidate's key is its predecessor's with ``y`` raised by q and the
-    stage agent's field replaced.  The stage agent's scan starts at its
-    last rank, skips the items the other agents rank above their last
-    picks, and needs no marking: every pick of the segment lies further on
-    in its ranking."""
+    A stage takes two steps.  First one pass over the predecessors in
+    stored order.  A group's first predecessor finds the group's T and
+    writes its own candidates up to the top y.  A later one writes its own
+    candidates only below the group's lowest stored y, so every key enters
+    the stage dict where the q loop would have inserted it.  A group with
+    one predecessor is then done.  Then, for each group with more than
+    one, one walk up its chain: its predecessors sorted by (y, key), and a
+    running maximum that rewrites every candidate of the group with its
+    winner.  The budget is checked before each block of new keys."""
     dec = inst.decomposition
     table = DPTable(inst, dec.core)
     m = inst.m
@@ -167,44 +190,82 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
         above[agent] = sets = [0]
         for i in view.prefs[agent]:
             sets.append(sets[-1] | bit[i])
+    # Per stage agent: its ranking, its placed fields, its field's shift, the
+    # mask that clears its field, the mask that keeps only the others'
+    # fields, and the others' fields with their prefix sets.
+    steps = {}
+    for agent, shift in shifts.items():
+        clear = ~(low << shift)
+        others = [(shifts[other], above[other]) for other in shifts if other != agent]
+        steps[agent] = (view.prefs[agent], placed[agent], shift, clear, clear & (y_unit - 1), others)
     stage = table.stages[0]
     stored = 1
     for x in range(1, len(dec.core) + 1):
-        stage_agent = dec.core[x - 1]
-        k_x = dec.k_prefix[x]
-        pref = view.prefs[stage_agent]
-        agent_placed = placed[stage_agent]
-        shift = shifts[stage_agent]
-        clear = ~(low << shift)
-        others = [(shifts[agent], above[agent]) for agent in shifts if agent != stage_agent]
+        pref, agent_placed, shift, clear, group_mask, others = steps[dec.core[x - 1]]
+        y_top = min(dec.k_prefix[x], m - x)
         new_stage: dict[int, tuple[int, int, int]] = {}
+        # group -> [T, lowest stored y, the scan start of that y, member keys]
+        groups: dict[int, list] = {}
+        # a key past the top y, which closes a group's last run
+        end = (y_top + 1) << y_shift
         for pred_key, (pred_weight, _, _) in stage.items():
-            taken = 0
-            for other_shift, other_above in others:
-                taken |= other_above[(pred_key >> other_shift) & low]
             y0 = pred_key >> y_shift
-            pos = (pred_key >> shift) & low
+            group = groups.get(pred_key & group_mask)
+            if group is None:
+                taken = 0
+                for other_shift, other_above in others:
+                    taken |= other_above[(pred_key >> other_shift) & low]
+                lo = y_top + 1
+                group = groups[pred_key & group_mask] = [taken, lo, 0, []]
+            else:
+                taken, lo = group[0], group[1]
+            group[3].append(pred_key)
+            if y0 >= lo:
+                continue
+            if stored + len(new_stage) + lo - y0 > budget:
+                raise BudgetExceeded(
+                    f"dynamic program would store more than {budget} states; raise the budget to continue"
+                )
+            group[1] = y0
+            group[2] = pos = (pred_key >> shift) & low
             key = pred_key & clear
             cand_weight = pred_weight
-            for q in range(min(k_x - y0, m - x - y0) + 1):
-                while taken & bit[pref[pos]]:
-                    pos += 1
+            for q in range(lo - y0):
                 received = pref[pos]
-                cand = key + agent_placed[received]
-                incumbent = new_stage.get(cand)
-                if incumbent is None and stored + len(new_stage) >= budget:
-                    raise BudgetExceeded(
-                        f"dynamic program would store more than {budget} states; raise the budget to continue"
-                    )
-                if (
-                    incumbent is None
-                    or cand_weight > incumbent[0]
-                    or (cand_weight == incumbent[0] and (q, pred_key) < (incumbent[2], incumbent[1]))
-                ):
-                    new_stage[cand] = (cand_weight, pred_key, q)
+                while taken & bit[received]:
+                    pos += 1
+                    received = pref[pos]
+                pos += 1
+                new_stage[key + agent_placed[received]] = (cand_weight, pred_key, q)
                 cand_weight += weight[received]
                 key += y_unit
-                pos += 1
+        for group_key, (taken, y, pos, members) in groups.items():
+            if len(members) == 1:
+                continue
+            # y is a key's top field, so keys sort by (y, key)
+            members.sort()
+            members.append(end)
+            key = group_key + (y << y_shift)
+            cand_weight, start = -1, y
+            for member_key in members:
+                member_y = member_key >> y_shift
+                # the winner so far fills the candidates below the member
+                for q in range(y - start, member_y - start):
+                    received = pref[pos]
+                    while taken & bit[received]:
+                        pos += 1
+                        received = pref[pos]
+                    pos += 1
+                    new_stage[key + agent_placed[received]] = (cand_weight, pred, q)
+                    cand_weight += weight[received]
+                    key += y_unit
+                if member_key == end:
+                    break
+                y = member_y
+                member_weight = stage[member_key][0]
+                # ties: the larger start (smaller q), then the smaller key
+                if member_weight > cand_weight or (member_weight == cand_weight and start != y):
+                    cand_weight, pred, start = member_weight, member_key, y
         table.stages.append(new_stage)
         stored += len(new_stage)
         stage = new_stage

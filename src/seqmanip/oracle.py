@@ -246,6 +246,12 @@ def is_crucial(inst: Instance, budget: int | None = None, optimum: Fraction | No
         if scaled.denominator != 1:
             raise ValueError(f"{optimum} is not a utility of this instance's bundles")
         own = scaled.numerator
+    return _is_crucial(inst, own, state_budget, policy_budget)
+
+
+def _is_crucial(inst: Instance, own: int, state_budget: int, policy_budget: int) -> bool:
+    """:func:`is_crucial` with the optimum ``own`` as an integer weight of
+    the instance's view and both budgets resolved."""
     for count, pol in enumerate(enumerate_dominated(inst.policy, inst.decomposition), start=1):
         if count > policy_budget:
             raise BudgetExceeded(f"dominated-policy enumeration exceeded {policy_budget} policies")

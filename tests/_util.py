@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import seqmanip as sm
 from paper_lemmas import considered_before, move_manipulator_turn
@@ -51,6 +52,28 @@ def random_instances(count: int, seed: int, agents=(2, 3, 4), max_items: int = 7
         m = rng.randint(min_items, max_items)
         inst_seed = rng.randrange(2**32)
         yield sm.generate_random_instance(n, m, inst_seed), inst_seed
+
+
+DENOMINATORS = (3, 7, 10, 12)
+
+
+def mixed_denominator_instance(n: int, m: int, seed: int) -> sm.Instance:
+    """Random rankings and policy; distinct utilities with denominators
+    drawn from ``DENOMINATORS``, decreasing along the manipulator's ranking."""
+    rng = random.Random(seed)
+    items = [f"g{i}" for i in range(1, m + 1)]
+    rankings = {agent: rng.sample(items, m) for agent in range(1, n + 1)}
+    policy = [rng.randrange(1, n + 1) for _ in range(m)]
+    values: set[Fraction] = set()
+    while len(values) < m:
+        values.add(Fraction(rng.randrange(1, 60), rng.choice(DENOMINATORS)))
+    utility = dict(zip(rankings[1], sorted(values, reverse=True)))
+    return sm.make_instance(items, n, policy, rankings, utility)
+
+
+def round_robin_instance(n: int, m: int, seed: int = 0) -> sm.Instance:
+    """``generate_random_instance(n, m, seed)`` under the policy 1, 2, ..., n, 1, ..."""
+    return sm.generate_random_instance(n, m, seed).with_policy([1 + t % n for t in range(m)])
 
 
 def random_strategy(inst: sm.Instance, rng: random.Random) -> tuple[str, ...]:

@@ -1,15 +1,22 @@
+import itertools
 import tracemalloc
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
 import seqmanip as sm
-from seqmanip import dp
+from seqmanip import dp, sweeps
 from seqmanip.dp import DPState, best_response_with_table, replay_state
 from seqmanip.policy import decompose
 from paper_lemmas import invariance_related
-from _util import random_instances
+from _reference_dp import reference_build
+from _util import mixed_denominator_instance, random_instances, round_robin_instance
+
+# The (n, m) points of the benchmark's DP grid, here as generated instances
+# under the round-robin policy.
+GRID = [(2, 200), (3, 90), (4, 40), (5, 24)]
 
 
 def test_first_stage_states_example1(ex1):
@@ -205,6 +212,77 @@ def test_state_count_within_box_bound():
             * (inst.k1 + 1)
         )
         assert len(table) <= bound
+
+
+def test_every_state_stores_y_as_its_allocated_count_less_x():
+    """The chain pass rests on y being implied by the other fields: a state
+    allocates x + y items, and they are exactly the items the agents 2..n
+    rank up to their last picks.  So a stage holds at most (m+1)^(n-1)
+    states, one per choice of last ranks."""
+    instances = [sweeps.build_instance(spec) for spec in sweeps.iter_random_specs(1500, range(2, 6), 10, seed=71)]
+    instances += [
+        sm.generate_random_instance(n, m, seed) for n, m in [(2, 60), (3, 30), (4, 16), (5, 10)] for seed in (1, 2)
+    ]
+    checked = 0
+    for inst in instances:
+        table = best_response_with_table(inst)[1]
+        for state in table:
+            ranked_above = set()
+            for agent in range(2, inst.n_agents + 1):
+                ranked_above.update(inst.rankings[agent][: state.last_rank[agent - 2]])
+            assert state.y == len(ranked_above) - state.x, (inst, state)
+            checked += 1
+        per_stage = Counter(state.x for state in table)
+        assert max(per_stage.values()) <= (inst.m + 1) ** (inst.n_agents - 1), inst
+    assert checked > 15000
+
+
+def _same_stages(inst) -> None:
+    table, final = dp._build(inst, 10**7)
+    expected_table, expected_final = reference_build(inst, 10**7)
+    assert len(table.stages) == len(expected_table.stages)
+    for x, (stage, expected) in enumerate(zip(table.stages, expected_table.stages)):
+        assert list(stage.items()) == list(expected.items()), (inst, x)
+    assert list(final.items()) == list(expected_final.items()), inst
+
+
+def test_chain_pass_stores_what_the_per_q_loop_stores():
+    """Same keys, entries and insertion order in every stage, and the same
+    final totals and allocated sets, as the build that tries every q."""
+    for spec in sweeps.iter_random_specs(3000, range(2, 6), 10, seed=73):
+        _same_stages(sweeps.build_instance(spec))
+    for n, m, seed in itertools.product((2, 3, 4), range(1, 11), range(4)):
+        _same_stages(mixed_denominator_instance(n, m, seed))
+    for spec in itertools.islice(sweeps.iter_exhaustive_specs(3, 4), 0, None, 11):
+        _same_stages(sweeps.build_instance(spec))
+    # m = 32 and 64 are where a last-rank field of the key widens by one bit.
+    for n, m in itertools.product((2, 3), (31, 32, 33, 63, 64, 65)):
+        _same_stages(sm.generate_random_instance(n, m, seed=1))
+    for n, m in GRID:
+        _same_stages(round_robin_instance(n, m))
+
+
+class _CountingRanking(tuple):
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountingRanking.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+@pytest.mark.parametrize("n, m", GRID[:2])
+def test_build_reads_a_ranking_a_bounded_number_of_times_per_stored_state(n, m):
+    # The plain loop over q (tests/_reference_dp.py) reads the stage
+    # agent's ranking 69 times per stored state on the n=2 m=200 instance
+    # and 23 times on the n=3 m=90 one; along chains a build reads each
+    # chain position once or twice.
+    inst = round_robin_instance(n, m)
+    prefs = inst.view.prefs
+    for agent in prefs:
+        prefs[agent] = _CountingRanking(prefs[agent])
+    _CountingRanking.reads = 0
+    table, _final = dp._build(inst, 10**7)
+    assert _CountingRanking.reads <= 8 * len(table), _CountingRanking.reads / len(table)
 
 
 def test_dp_is_deterministic(ex1):

@@ -16,23 +16,7 @@ import pytest
 import seqmanip as sm
 from seqmanip import dp
 from seqmanip.oracle import _choice_tree, _reaches, choice_tree_best
-
-DENOMINATORS = (3, 7, 10, 12)
-
-
-def mixed_denominator_instance(n: int, m: int, seed: int) -> sm.Instance:
-    """Random rankings and policy; distinct utilities with denominators
-    drawn from ``DENOMINATORS``, decreasing along the manipulator's ranking."""
-    rng = random.Random(seed)
-    items = [f"g{i}" for i in range(1, m + 1)]
-    rankings = {agent: rng.sample(items, m) for agent in range(1, n + 1)}
-    policy = [rng.randrange(1, n + 1) for _ in range(m)]
-    values: set[Fraction] = set()
-    while len(values) < m:
-        values.add(Fraction(rng.randrange(1, 60), rng.choice(DENOMINATORS)))
-    utility = dict(zip(rankings[1], sorted(values, reverse=True)))
-    return sm.make_instance(items, n, policy, rankings, utility)
-
+from _util import mixed_denominator_instance
 
 MIXED_POOL = [(n, m, seed) for n in (2, 3) for m in range(1, 8) for seed in range(12)]
 

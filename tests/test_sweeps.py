@@ -164,3 +164,19 @@ def test_check_spec_matches_the_public_functions():
         assert record == _expected_record(spec), spec
         for name in ("utility_dp", "utility_tree", "utility_dominated", "utility_truthful", "utility_greedy"):
             assert type(getattr(record, name)) is Fraction, (spec, name)
+
+
+def test_check_spec_reads_the_budget_variable_once_per_budget(monkeypatch):
+    # One read for the state budget and one for the policy budget; the
+    # crucial check gets both, and the choice tree's optimum as a weight.
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(engine.os, "environ", Environ(engine.os.environ))
+    record = sweeps.check_spec(("exhaustive", 2, (1, 2, 2, 1), (("g2", "g3", "g1", "g4"),)), check_crucial=True)
+    assert record.crucial is not None
+    assert reads.count(engine.BUDGET_ENV_VAR) == 2
