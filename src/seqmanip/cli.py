@@ -267,88 +267,99 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser, with arguments (``-h`` included) only for the commands
+    named in ``argv``: argparse runs no other command's parser, and the
+    top-level help and errors read only the commands' names and help."""
     parser = argparse.ArgumentParser(
         prog="seqmanip",
         description="Exact best-response solvers for manipulating sequential allocation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
+
+    def command(name: str, help_text: str, func) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_text, add_help=name in named)
+        p.set_defaults(func=func)
+        return p if name in named else None
 
     def add_instance(p: argparse.ArgumentParser) -> None:
         p.add_argument("instance", help="instance JSON file, or - for stdin")
 
-    p_solve = sub.add_parser("solve", help="optimal response via the dynamic program")
-    add_instance(p_solve)
-    p_solve.add_argument("--check", action="store_true", help="cross-check against the dominated-greedy oracle")
-    p_solve.add_argument("--dump-table", action="store_true", help="include the state table in the output")
-    p_solve.add_argument(
-        "--budget",
-        type=_budget,
-        default=None,
-        help="budget of the DP's stored states and of the --check oracle's dominated policies",
-    )
-    p_solve.set_defaults(func=_cmd_solve)
+    p = command("solve", "optimal response via the dynamic program", _cmd_solve)
+    if p:
+        add_instance(p)
+        p.add_argument("--check", action="store_true", help="cross-check against the dominated-greedy oracle")
+        p.add_argument("--dump-table", action="store_true", help="include the state table in the output")
+        p.add_argument(
+            "--budget",
+            type=_budget,
+            default=None,
+            help="budget of the DP's stored states and of the --check oracle's dominated policies",
+        )
 
-    p_greedy = sub.add_parser("greedy", help="run the greedy procedure")
-    add_instance(p_greedy)
-    p_greedy.set_defaults(func=_cmd_greedy)
+    p = command("greedy", "run the greedy procedure", _cmd_greedy)
+    if p:
+        add_instance(p)
 
-    p_truthful = sub.add_parser("truthful", help="execute the truthful strategy")
-    add_instance(p_truthful)
-    p_truthful.set_defaults(func=_cmd_truthful)
+    p = command("truthful", "execute the truthful strategy", _cmd_truthful)
+    if p:
+        add_instance(p)
 
-    p_oracle = sub.add_parser("oracle", help="run a brute-force oracle")
-    add_instance(p_oracle)
-    p_oracle.add_argument(
-        "--method",
-        choices=["choice-tree", "dominated-greedy"],
-        default="choice-tree",
-    )
-    p_oracle.add_argument("--budget", type=_budget, default=None, help="search budget override")
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p = command("oracle", "run a brute-force oracle", _cmd_oracle)
+    if p:
+        add_instance(p)
+        p.add_argument(
+            "--method",
+            choices=["choice-tree", "dominated-greedy"],
+            default="choice-tree",
+        )
+        p.add_argument("--budget", type=_budget, default=None, help="search budget override")
 
-    p_ratio = sub.add_parser("ratio", help="truthful/optimal approximation report")
-    p_ratio.add_argument("instance", nargs="?", default=None, help="instance JSON file")
-    p_ratio.add_argument("--tightness", type=int, default=None, metavar="K", help="use the tightness family with eps = 1/K")
-    p_ratio.set_defaults(func=_cmd_ratio)
+    p = command("ratio", "truthful/optimal approximation report", _cmd_ratio)
+    if p:
+        p.add_argument("instance", nargs="?", default=None, help="instance JSON file")
+        p.add_argument("--tightness", type=int, default=None, metavar="K", help="use the tightness family with eps = 1/K")
 
-    p_ach = sub.add_parser("achievable", help="can the manipulator get exactly a target bundle?")
-    add_instance(p_ach)
-    p_ach.add_argument("--target", required=True, help="comma-separated item list, e.g. a,b")
-    p_ach.set_defaults(func=_cmd_achievable)
+    p = command("achievable", "can the manipulator get exactly a target bundle?", _cmd_achievable)
+    if p:
+        add_instance(p)
+        p.add_argument("--target", required=True, help="comma-separated item list, e.g. a,b")
 
-    p_gen = sub.add_parser("gen", help="generate an instance document")
-    p_gen.add_argument("--agents", type=int, default=3)
-    p_gen.add_argument("--items", type=int, default=6)
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--tightness", type=int, default=None, metavar="K")
-    p_gen.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    p_gen.set_defaults(func=_cmd_gen)
+    p = command("gen", "generate an instance document", _cmd_gen)
+    if p:
+        p.add_argument("--agents", type=int, default=3)
+        p.add_argument("--items", type=int, default=6)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--tightness", type=int, default=None, metavar="K")
+        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
-    p_verify = sub.add_parser("verify", help="sweep instances and check solver agreement")
-    p_verify.add_argument("--agents", type=int, default=3)
-    p_verify.add_argument("--max-items", type=int, default=5)
-    p_verify.add_argument("--exhaustive", action="store_true", help="all policies x all ranking tuples up to --max-items")
-    p_verify.add_argument("--random", type=int, default=0, metavar="COUNT", help="additionally check COUNT random instances")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=_budget, default=None)
-    p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.set_defaults(func=_cmd_verify)
+    p = command("verify", "sweep instances and check solver agreement", _cmd_verify)
+    if p:
+        p.add_argument("--agents", type=int, default=3)
+        p.add_argument("--max-items", type=int, default=5)
+        p.add_argument("--exhaustive", action="store_true", help="all policies x all ranking tuples up to --max-items")
+        p.add_argument("--random", type=int, default=0, metavar="COUNT", help="additionally check COUNT random instances")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=_budget, default=None)
+        p.add_argument("--workers", type=int, default=1)
 
-    p_bench = sub.add_parser("bench", help="time the dynamic program on generated instances")
-    p_bench.add_argument("--agents", type=int, default=3)
-    p_bench.add_argument("--sizes", default="10,15,20,25,30", help="comma-separated item counts")
-    p_bench.add_argument("--per-size", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--csv", default=None, metavar="PATH", help="write CSV to PATH ('-' for stdout) instead of JSON")
-    p_bench.add_argument("--workers", type=int, default=1)
-    p_bench.set_defaults(func=_cmd_bench)
+    p = command("bench", "time the dynamic program on generated instances", _cmd_bench)
+    if p:
+        p.add_argument("--agents", type=int, default=3)
+        p.add_argument("--sizes", default="10,15,20,25,30", help="comma-separated item counts")
+        p.add_argument("--per-size", type=int, default=3)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--csv", default=None, metavar="PATH", help="write CSV to PATH ('-' for stdout) instead of JSON")
+        p.add_argument("--workers", type=int, default=1)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

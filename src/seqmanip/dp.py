@@ -24,23 +24,43 @@ agent's pick.  So the build carries no allocated set.  It ORs precomputed
 prefix bit sets of the other agents' rankings, and the stage agent's scan
 starts at its last rank and only moves forward.
 
-A stage's step runs along chains, with O(1) amortized work per stored
-state.  The predecessors that agree on every field but y and the stage
-agent's form a group.  They share the other agents' allocated set T, so
-the stage agent scans one chain: its ranking without T's items.  A state
-of stage x holds x + y allocated items, so within a group y fixes how far
-along the chain a predecessor's scan starts and which chain item a
-candidate's stage agent receives.  A candidate's key thus depends on its
-group and its y alone, and every predecessor of stage x reaches up to the
-same y, ``min(k_x, m - x)``.  With S(y) the weight of the chain items
-before the one at y, the candidate at y takes the best
-``w_pred + S(y) - S(y_pred)`` over the group's predecessors with
-``y_pred <= y``: a running maximum along the chain.  On a tie the larger
-y_pred (the smaller q) wins, then the smaller predecessor key.  The y
-values a group has stored so far always run from its lowest up to the
-top.  So a predecessor adds new keys only below that lowest y, and adds
-them in the order the plain recurrence's loop over q would: the stage
-dicts keep that order without a sort.
+A stage's step groups its predecessors, then walks each group once, with
+O(1) amortized work per stored state.  The predecessors that agree on
+every field but y and the stage agent's form a group.  They share the
+other agents' allocated set T, so the stage agent scans one chain: its
+ranking without T's items.  A state of stage x holds x + y allocated
+items, so within a group y fixes how far along the chain a predecessor's
+scan starts and which chain item a candidate's stage agent receives.  A
+candidate's key thus depends on its group and its y alone, and every
+predecessor of stage x reaches up to the same y, ``min(k_x, m - x)``.
+With S(y) the weight of the chain items before the one at y, the
+candidate at y takes the best ``w_pred + S(y) - S(y_pred)`` over the
+group's predecessors with ``y_pred <= y``: a running maximum along the
+chain that writes each candidate once.  On a tie the larger y_pred (the
+smaller q) wins, then the smaller predecessor key.
+
+The walks store a stage's keys group by group, in the order the groups'
+first predecessors were stored, and by ascending y within a group.  The
+plain recurrence (``tests/_reference_dp.py``) stores a key at the first
+predecessor, in stored order, whose loop over q reaches it: by induction,
+in the lexicographic order of the states' smallest q sequences.  Two
+facts, each by induction over the stages, make the orders equal:
+
+- A stage's states are closed under the componentwise minimum of their
+  last ranks.  Let u and v come from p_u and p_v, u's stage-agent rank
+  the lower.  The minimum p of p_u and p_v is stored, its T lies within
+  u's, so u's stage-agent item is outside it and past p's rank: p
+  reaches the minimum of u and v, whose items lie within u's.
+- If u's last ranks are at most v's, u's smallest q sequence is at most
+  v's: the minimum of p_u and p_v (v's predecessor on its smallest
+  sequence) is stored, reaches u and by induction precedes p_v, or is
+  p_v, and then u's q is at most v's.
+
+A group's predecessors differ only in the stage agent's rank, so they
+are stored by ascending rank, hence ascending y.  The first reaches every
+candidate of the group, in ascending y, and the plain loop stores the
+group's keys in one block at its turn.  So the walk's sort of a group
+meets sorted input.
 
 A stored state's trace is rebuilt as the greedy trace of its chain's turns
 (:func:`engine._greedy_trace`): per entry, q manipulator turns and then the
@@ -166,15 +186,12 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
     Raises :class:`BudgetExceeded` when the table would store more than
     ``budget`` states.
 
-    A stage takes two steps.  First one pass over the predecessors in
-    stored order.  A group's first predecessor finds the group's T and
-    writes its own candidates up to the top y.  A later one writes its own
-    candidates only below the group's lowest stored y, so every key enters
-    the stage dict where the q loop would have inserted it.  A group with
-    one predecessor is then done.  Then, for each group with more than
-    one, one walk up its chain: its predecessors sorted by (y, key), and a
-    running maximum that rewrites every candidate of the group with its
-    winner.  The budget is checked before each block of new keys."""
+    A stage takes two steps.  First one pass over the predecessor keys
+    puts each key into its group.  Then each group, in the order the
+    groups first appear, is walked once: T from its first member, the
+    members sorted by (y, key), and a running maximum that writes each
+    candidate of the group once.  The budget is checked before each
+    group's block of new keys."""
     dec = inst.decomposition
     table = DPTable(inst, dec.core)
     m = inst.m
@@ -191,59 +208,39 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
         for i in view.prefs[agent]:
             sets.append(sets[-1] | bit[i])
     # Per stage agent: its ranking, its placed fields, its field's shift, the
-    # mask that clears its field, the mask that keeps only the others'
-    # fields, and the others' fields with their prefix sets.
+    # mask that keeps only the others' fields, and the others' fields with
+    # their prefix sets.
     steps = {}
     for agent, shift in shifts.items():
-        clear = ~(low << shift)
         others = [(shifts[other], above[other]) for other in shifts if other != agent]
-        steps[agent] = (view.prefs[agent], placed[agent], shift, clear, clear & (y_unit - 1), others)
+        steps[agent] = (view.prefs[agent], placed[agent], shift, ~(low << shift) & (y_unit - 1), others)
     stage = table.stages[0]
     stored = 1
     for x in range(1, len(dec.core) + 1):
-        pref, agent_placed, shift, clear, group_mask, others = steps[dec.core[x - 1]]
+        pref, agent_placed, shift, group_mask, others = steps[dec.core[x - 1]]
         y_top = min(dec.k_prefix[x], m - x)
         new_stage: dict[int, tuple[int, int, int]] = {}
-        # group -> [T, lowest stored y, the scan start of that y, member keys]
-        groups: dict[int, list] = {}
+        groups: dict[int, list[int]] = {}
+        for pred_key in stage:
+            members = groups.get(pred_key & group_mask)
+            if members is None:
+                groups[pred_key & group_mask] = [pred_key]
+            else:
+                members.append(pred_key)
         # a key past the top y, which closes a group's last run
         end = (y_top + 1) << y_shift
-        for pred_key, (pred_weight, _, _) in stage.items():
-            y0 = pred_key >> y_shift
-            group = groups.get(pred_key & group_mask)
-            if group is None:
-                taken = 0
-                for other_shift, other_above in others:
-                    taken |= other_above[(pred_key >> other_shift) & low]
-                lo = y_top + 1
-                group = groups[pred_key & group_mask] = [taken, lo, 0, []]
-            else:
-                taken, lo = group[0], group[1]
-            group[3].append(pred_key)
-            if y0 >= lo:
-                continue
-            if stored + len(new_stage) + lo - y0 > budget:
+        for group_key, members in groups.items():
+            taken = 0
+            for other_shift, other_above in others:
+                taken |= other_above[(members[0] >> other_shift) & low]
+            # y is a key's top field, so keys sort by (y, key)
+            members.sort()
+            y = members[0] >> y_shift
+            if stored + len(new_stage) + y_top + 1 - y > budget:
                 raise BudgetExceeded(
                     f"dynamic program would store more than {budget} states; raise the budget to continue"
                 )
-            group[1] = y0
-            group[2] = pos = (pred_key >> shift) & low
-            key = pred_key & clear
-            cand_weight = pred_weight
-            for q in range(lo - y0):
-                received = pref[pos]
-                while taken & bit[received]:
-                    pos += 1
-                    received = pref[pos]
-                pos += 1
-                new_stage[key + agent_placed[received]] = (cand_weight, pred_key, q)
-                cand_weight += weight[received]
-                key += y_unit
-        for group_key, (taken, y, pos, members) in groups.items():
-            if len(members) == 1:
-                continue
-            # y is a key's top field, so keys sort by (y, key)
-            members.sort()
+            pos = (members[0] >> shift) & low
             members.append(end)
             key = group_key + (y << y_shift)
             cand_weight, start = -1, y

@@ -319,18 +319,3 @@ def _reaches(inst: Instance, policy: Policy, target: int, budget: int) -> bool:
         layer = nxt
     return False
 
-
-def achievable_bundles_exact(inst: Instance, target: frozenset) -> bool:
-    """Can the manipulator end up with exactly ``target``?
-
-    Independent decision procedure used to cross-check the reduction in
-    :mod:`seqmanip.responses`: the forward pass of :func:`_reachable` with
-    manipulator picks restricted to the target set (a pick outside it can
-    never produce the exact bundle) and non-manipulator turns forced.  The
-    bundle is achievable when some allocated set survives the last turn.
-    Raises :class:`BudgetExceeded` past the default state budget.
-    """
-    if len(target) != inst.k1:
-        return False
-    picks = [inst.view.index[item] for item in target]
-    return bool(_reachable(inst, picks, _resolve_budget(None, DEFAULT_STATE_BUDGET))[-1])

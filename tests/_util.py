@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import seqmanip as sm
+from seqmanip.engine import DEFAULT_STATE_BUDGET, _resolve_budget
+from seqmanip.oracle import _reachable
 from paper_lemmas import considered_before, move_manipulator_turn
 
 EXAMPLE1_UTILITIES = {"a": 5, "b": 4, "c": 3, "d": 2, "e": 1}
@@ -74,6 +76,23 @@ def mixed_denominator_instance(n: int, m: int, seed: int) -> sm.Instance:
 def round_robin_instance(n: int, m: int, seed: int = 0) -> sm.Instance:
     """``generate_random_instance(n, m, seed)`` under the policy 1, 2, ..., n, 1, ..."""
     return sm.generate_random_instance(n, m, seed).with_policy([1 + t % n for t in range(m)])
+
+
+def achievable_bundles_exact(inst: sm.Instance, target: frozenset) -> bool:
+    """Can the manipulator end up with exactly ``target``?
+
+    Independent decision procedure used to cross-check the reduction in
+    :mod:`seqmanip.responses`: the forward pass of
+    :func:`seqmanip.oracle._reachable` with manipulator picks restricted to
+    the target set (a pick outside it can never produce the exact bundle)
+    and non-manipulator turns forced.  The bundle is achievable when some
+    allocated set survives the last turn.  Raises
+    :class:`seqmanip.BudgetExceeded` past the default state budget.
+    """
+    if len(target) != inst.k1:
+        return False
+    picks = [inst.view.index[item] for item in target]
+    return bool(_reachable(inst, picks, _resolve_budget(None, DEFAULT_STATE_BUDGET))[-1])
 
 
 def random_strategy(inst: sm.Instance, rng: random.Random) -> tuple[str, ...]:

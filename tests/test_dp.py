@@ -237,6 +237,25 @@ def test_every_state_stores_y_as_its_allocated_count_less_x():
     assert checked > 15000
 
 
+def test_stored_states_are_closed_under_the_minimum_and_stored_in_its_order():
+    """The two facts behind the build's insertion order (``dp`` module
+    docstring): a stage's states are closed under the componentwise
+    minimum of their last ranks, and a state whose last ranks are at most
+    another's is stored first."""
+    checked = 0
+    for spec in sweeps.iter_random_specs(1200, range(3, 6), 9, seed=79):
+        table = best_response_with_table(sweeps.build_instance(spec))[1]
+        for stage in table.stages:
+            ranks = [tuple((key >> shift) & table.low for shift in table.shifts.values()) for key in stage]
+            stored = set(ranks)
+            for i, later in enumerate(ranks):
+                for earlier in ranks[:i]:
+                    assert tuple(map(min, earlier, later)) in stored, (spec, earlier, later)
+                    assert not all(map(int.__le__, later, earlier)), (spec, earlier, later)
+                    checked += 1
+    assert checked > 20000
+
+
 def _same_stages(inst) -> None:
     table, final = dp._build(inst, 10**7)
     expected_table, expected_final = reference_build(inst, 10**7)
@@ -283,6 +302,21 @@ def test_build_reads_a_ranking_a_bounded_number_of_times_per_stored_state(n, m):
     _CountingRanking.reads = 0
     table, _final = dp._build(inst, 10**7)
     assert _CountingRanking.reads <= 8 * len(table), _CountingRanking.reads / len(table)
+
+
+@pytest.mark.parametrize("n, m, cap", [(2, 200, 1.25), (3, 90, 2)])
+def test_build_walks_each_chain_position_once(n, m, cap):
+    # One walk per group writes each stored state once, so the reads are
+    # one per state plus the chain items a walk skips (1.00 and 1.65 here).
+    # A build that also writes a group's candidates in a first pass reads
+    # 2.00 and 3.27.
+    inst = round_robin_instance(n, m)
+    prefs = inst.view.prefs
+    for agent in prefs:
+        prefs[agent] = _CountingRanking(prefs[agent])
+    _CountingRanking.reads = 0
+    table, _final = dp._build(inst, 10**7)
+    assert _CountingRanking.reads <= cap * len(table), _CountingRanking.reads / len(table)
 
 
 def test_dp_is_deterministic(ex1):

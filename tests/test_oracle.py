@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 import seqmanip as sm
-from seqmanip.oracle import achievable_bundles_exact
-from _util import random_instances
+from _util import achievable_bundles_exact, random_instances
 
 
 def test_choice_tree_example1(ex1):
