@@ -36,8 +36,17 @@ predecessor of stage x reaches up to the same y, ``min(k_x, m - x)``.
 With S(y) the weight of the chain items before the one at y, the
 candidate at y takes the best ``w_pred + S(y) - S(y_pred)`` over the
 group's predecessors with ``y_pred <= y``: a running maximum along the
-chain that writes each candidate once.  On a tie the larger y_pred (the
-smaller q) wins, then the smaller predecessor key.
+chain.  The walk is one loop over y from the group's lowest y.  Before it
+writes the candidate at y, the predecessors at y take over the running
+maximum in key order; two can share a y, with different stage-agent
+ranks.  On a tie the larger y_pred (the smaller q) wins, then the smaller
+key, so the second of two at one y never displaces the first.
+
+The last stage's walk also completes each final state in O(1) amortized
+work.  The manipulator takes the items left after the last segment: the
+chain items past the stage agent's pick.  So a group's free weight, its
+chain's from the first predecessor's scan on, is summed once, and each
+chain item's weight comes off as the stage agent receives it.
 
 The walks store a stage's keys group by group, in the order the groups'
 first predecessors were stored, and by ascending y within a group.  The
@@ -179,19 +188,18 @@ class _Values(ValuesView):
         return (entry for _, entry in self._mapping._pairs())
 
 
-def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, int]]]:
+def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int]]:
     """Fill the table; returns it plus, for the key of each state of the
-    final stage, its utility as an integer weight and its allocated-item set
-    as an int with one bit per item index (needed to complete solutions).
-    Raises :class:`BudgetExceeded` when the table would store more than
+    final stage, its complete total as an integer weight: the manipulator
+    takes every item left after the last segment.  Raises
+    :class:`BudgetExceeded` when the table would store more than
     ``budget`` states.
 
     A stage takes two steps.  First one pass over the predecessor keys
     puts each key into its group.  Then each group, in the order the
     groups first appear, is walked once: T from its first member, the
-    members sorted by (y, key), and a running maximum that writes each
-    candidate of the group once.  The budget is checked before each
-    group's block of new keys."""
+    members sorted by (y, key), and one loop over y.  The budget is
+    checked before each group's block of new keys."""
     dec = inst.decomposition
     table = DPTable(inst, dec.core)
     m = inst.m
@@ -216,9 +224,12 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
         steps[agent] = (view.prefs[agent], placed[agent], shift, ~(low << shift) & (y_unit - 1), others)
     stage = table.stages[0]
     stored = 1
+    # each final state's total; with no stage the base state takes every item
+    final = {} if dec.core else {0: sum(weight)}
     for x in range(1, len(dec.core) + 1):
         pref, agent_placed, shift, group_mask, others = steps[dec.core[x - 1]]
         y_top = min(dec.k_prefix[x], m - x)
+        last = x == len(dec.core)
         new_stage: dict[int, tuple[int, int, int]] = {}
         groups: dict[int, list[int]] = {}
         for pred_key in stage:
@@ -227,7 +238,7 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
                 groups[pred_key & group_mask] = [pred_key]
             else:
                 members.append(pred_key)
-        # a key past the top y, which closes a group's last run
+        # a key past the top y, which no loop over y reaches
         end = (y_top + 1) << y_shift
         for group_key, members in groups.items():
             taken = 0
@@ -235,43 +246,42 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, i
                 taken |= other_above[(members[0] >> other_shift) & low]
             # y is a key's top field, so keys sort by (y, key)
             members.sort()
-            y = members[0] >> y_shift
-            if stored + len(new_stage) + y_top + 1 - y > budget:
+            lowest_y = members[0] >> y_shift
+            if stored + len(new_stage) + y_top + 1 - lowest_y > budget:
                 raise BudgetExceeded(
                     f"dynamic program would store more than {budget} states; raise the budget to continue"
                 )
             pos = (members[0] >> shift) & low
+            if last:
+                # the items the first member leaves free: its chain from its scan on
+                free = sum([weight[i] for i in pref[pos:] if not taken & bit[i]])
             members.append(end)
-            key = group_key + (y << y_shift)
-            cand_weight, start = -1, y
-            for member_key in members:
-                member_y = member_key >> y_shift
-                # the winner so far fills the candidates below the member
-                for q in range(y - start, member_y - start):
-                    received = pref[pos]
-                    while taken & bit[received]:
-                        pos += 1
-                        received = pref[pos]
-                    pos += 1
-                    new_stage[key + agent_placed[received]] = (cand_weight, pred, q)
-                    cand_weight += weight[received]
-                    key += y_unit
-                if member_key == end:
-                    break
-                y = member_y
-                member_weight = stage[member_key][0]
+            ahead = iter(members)
+            member_key = next(ahead)
+            key = group_key + (lowest_y << y_shift)
+            cand_weight, start = -1, lowest_y
+            for y in range(lowest_y, y_top + 1):
                 # ties: the larger start (smaller q), then the smaller key
-                if member_weight > cand_weight or (member_weight == cand_weight and start != y):
-                    cand_weight, pred, start = member_weight, member_key, y
+                while member_key >> y_shift == y:
+                    member_weight = stage[member_key][0]
+                    if member_weight > cand_weight or (member_weight == cand_weight and start != y):
+                        cand_weight, pred, start = member_weight, member_key, y
+                    member_key = next(ahead)
+                received = pref[pos]
+                while taken & bit[received]:
+                    pos += 1
+                    received = pref[pos]
+                pos += 1
+                received_weight = weight[received]
+                new_stage[key + agent_placed[received]] = (cand_weight, pred, y - start)
+                if last:
+                    free -= received_weight
+                    final[key + agent_placed[received]] = cand_weight + free
+                cand_weight += received_weight
+                key += y_unit
         table.stages.append(new_stage)
         stored += len(new_stage)
         stage = new_stage
-    final: dict[int, tuple[int, int]] = {}
-    for key, (w, _, _) in stage.items():
-        taken = 0
-        for agent, shift in shifts.items():
-            taken |= above[agent][(key >> shift) & low]
-        final[key] = (w, taken)
     return table, final
 
 
@@ -306,19 +316,9 @@ def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple
     ``SEQMANIP_BUDGET`` environment variable).
     """
     table, final = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
-    weight = inst.view.weight
-    every = (1 << inst.m) - 1
-    # The manipulator takes every item left after the last segment.
-    totals = {}
-    for key, (total, taken) in final.items():
-        free = every & ~taken
-        while free:
-            total += weight[(free & -free).bit_length() - 1]
-            free &= free - 1
-        totals[key] = total
     # the best total; among equal totals the smallest state (keys order as states do)
-    best = max(totals.values())
-    best_key = min(key for key, total in totals.items() if total == best)
+    best = max(final.values())
+    best_key = min(key for key, total in final.items() if total == best)
     turns = _chain_turns(table, len(table.stages) - 1, best_key)
     seq = engine._greedy_trace(inst, turns + [MANIPULATOR] * (inst.m - len(turns)))
     solution = engine._certify(inst, seq, best, "the optimal chain's strategy does not recover its bundle")

@@ -5,7 +5,8 @@ tries every q from 0 to its q_max and keeps a candidate when it beats the
 stored one, with one dict lookup per try.  Its work per predecessor grows
 with the chain length, but its stage dicts are the specification of the
 chain pass in :func:`seqmanip.dp._build`: the same keys, the same entries
-and the same insertion order.
+and the same insertion order.  Its completion pops every free item of
+each final state, one at a time; ``_build``'s totals must equal it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from seqmanip.engine import BudgetExceeded
 from seqmanip.model import Instance
 
 
-def reference_build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tuple[int, int]]]:
+def reference_build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int]]:
     dec = inst.decomposition
     table = DPTable(inst, dec.core)
     m = inst.m
@@ -72,10 +73,16 @@ def reference_build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, tup
         table.stages.append(new_stage)
         stored += len(new_stage)
         stage = new_stage
-    final: dict[int, tuple[int, int]] = {}
-    for key, (w, _, _) in stage.items():
+    every = (1 << m) - 1
+    final: dict[int, int] = {}
+    for key, (total, _, _) in stage.items():
         taken = 0
         for agent, shift in shifts.items():
             taken |= above[agent][(key >> shift) & low]
-        final[key] = (w, taken)
+        # The manipulator takes every item left after the last segment.
+        free = every & ~taken
+        while free:
+            total += weight[(free & -free).bit_length() - 1]
+            free &= free - 1
+        final[key] = total
     return table, final

@@ -266,8 +266,9 @@ def _same_stages(inst) -> None:
 
 
 def test_chain_pass_stores_what_the_per_q_loop_stores():
-    """Same keys, entries and insertion order in every stage, and the same
-    final totals and allocated sets, as the build that tries every q."""
+    """Same keys, entries and insertion order in every stage as the build
+    that tries every q, and the same complete totals, in the same order, as
+    popping each final state's free items."""
     for spec in sweeps.iter_random_specs(3000, range(2, 6), 10, seed=73):
         _same_stages(sweeps.build_instance(spec))
     for n, m, seed in itertools.product((2, 3, 4), range(1, 11), range(4)):
@@ -281,11 +282,30 @@ def test_chain_pass_stores_what_the_per_q_loop_stores():
         _same_stages(round_robin_instance(n, m))
 
 
-class _CountingRanking(tuple):
+def test_equal_weights_at_one_y_keep_the_smaller_predecessor():
+    """Two predecessors in one group can share y, with different stage-agent
+    ranks.  The walk lets both take over the running maximum at that y, in
+    key order, so on equal weight the smaller key keeps it."""
+    inst = sweeps.build_instance(("random", 3, 8, 3649409774))
+    table = best_response_with_table(inst)[1]
+    state = DPState(6, 2, (5, 5))
+    agent = inst.decomposition.core[state.x - 1]
+    assert agent == 2
+    preds = [DPState(5, 2, (2, 5)), DPState(5, 2, (3, 5))]
+    ranking = inst.rankings[agent]
+    for pred in preds:
+        assert table[pred].utility == 8
+        taken = {item for item, _ in replay_state(inst, table, pred)}
+        # q = 0: agent 2 takes its top remaining item, its 5th
+        assert ranking.index(next(item for item in ranking if item not in taken)) + 1 == 5
+    assert table[state] == sm.DPEntry(Fraction(8), preds[0], 0)
+
+
+class _CountingTuple(tuple):
     reads = 0
 
     def __getitem__(self, index):
-        _CountingRanking.reads += 1
+        _CountingTuple.reads += 1
         return tuple.__getitem__(self, index)
 
 
@@ -298,10 +318,10 @@ def test_build_reads_a_ranking_a_bounded_number_of_times_per_stored_state(n, m):
     inst = round_robin_instance(n, m)
     prefs = inst.view.prefs
     for agent in prefs:
-        prefs[agent] = _CountingRanking(prefs[agent])
-    _CountingRanking.reads = 0
+        prefs[agent] = _CountingTuple(prefs[agent])
+    _CountingTuple.reads = 0
     table, _final = dp._build(inst, 10**7)
-    assert _CountingRanking.reads <= 8 * len(table), _CountingRanking.reads / len(table)
+    assert _CountingTuple.reads <= 8 * len(table), _CountingTuple.reads / len(table)
 
 
 @pytest.mark.parametrize("n, m, cap", [(2, 200, 1.25), (3, 90, 2)])
@@ -313,10 +333,23 @@ def test_build_walks_each_chain_position_once(n, m, cap):
     inst = round_robin_instance(n, m)
     prefs = inst.view.prefs
     for agent in prefs:
-        prefs[agent] = _CountingRanking(prefs[agent])
-    _CountingRanking.reads = 0
+        prefs[agent] = _CountingTuple(prefs[agent])
+    _CountingTuple.reads = 0
     table, _final = dp._build(inst, 10**7)
-    assert _CountingRanking.reads <= cap * len(table), _CountingRanking.reads / len(table)
+    assert _CountingTuple.reads <= cap * len(table), _CountingTuple.reads / len(table)
+
+
+@pytest.mark.parametrize("n, m", GRID[:2])
+def test_a_solve_reads_an_item_weight_about_once_per_stored_state(n, m):
+    # The walk reads the weight of each item the stage agent receives, and
+    # the last stage's walk completes each final state with it: 1.04 and
+    # 1.05 reads per stored state here.  A completion that pops each final
+    # state's free items reads 2.00 and 1.46.
+    inst = round_robin_instance(n, m)
+    inst.__dict__["view"] = inst.view._replace(weight=_CountingTuple(inst.view.weight))
+    _CountingTuple.reads = 0
+    table = best_response_with_table(inst)[1]
+    assert _CountingTuple.reads <= 1.25 * len(table), _CountingTuple.reads / len(table)
 
 
 def test_dp_is_deterministic(ex1):
