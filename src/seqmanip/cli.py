@@ -62,6 +62,13 @@ def _budget(text: str) -> int:
     return budget
 
 
+def _check_bounds(args: argparse.Namespace, lowest: dict[str, int]) -> None:
+    """Reject the first option in ``lowest`` whose value is below its bound."""
+    for option, bound in lowest.items():
+        if getattr(args, option[2:].replace("-", "_")) < bound:
+            raise InstanceError(args.command, f"{option} must be at least {bound}")
+
+
 def _solution_payload(inst: Instance, solution: Solution) -> dict:
     return {
         "bundle": [item for item in inst.manipulator_ranking if item in solution.bundle.items],
@@ -195,6 +202,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     from . import sweeps
 
+    # A random instance has at least one item.
+    _check_bounds(args, {"--random": 0, "--agents": 1, "--max-items": 1 if args.random else 0})
     specs = []
     if args.exhaustive:
         specs.append(sweeps.iter_exhaustive_specs(args.agents, args.max_items))
@@ -233,7 +242,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from . import sweeps
 
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    tokens = [tok.strip() for tok in args.sizes.split(",") if tok]
+    if not tokens or not all(tok.isdecimal() for tok in tokens):
+        raise InstanceError("bench", "--sizes must be comma-separated item counts, each at least 0")
+    _check_bounds(args, {"--agents": 1, "--per-size": 1})
+    sizes = [int(tok) for tok in tokens]
     params = [
         (args.agents, m, args.seed + offset)
         for m in sizes

@@ -94,19 +94,15 @@ def policy_from_positions(core: Sequence[Agent], positions: Sequence[int], lengt
     return tuple(out)
 
 
-def enumerate_dominated(
-    policy: Sequence[Agent], decomposition: PolicyDecomposition | None = None
-) -> Iterator[Policy]:
+def enumerate_dominated(policy: Sequence[Agent]) -> Iterator[Policy]:
     """Yield every policy dominated by ``policy`` (itself included) lazily,
     in lexicographic order of manipulator position vectors.
-    ``decomposition`` is ``decompose(policy)`` when the caller holds it
-    already (as ``Instance.decomposition``).
 
     >>> list(enumerate_dominated((1, 2)))
     [(1, 2), (2, 1)]
     """
     policy = tuple(policy)
-    dec = decompose(policy) if decomposition is None else decomposition
+    dec = decompose(policy)
     z, core = dec.position_vector, dec.core
     m = len(policy)
     k = len(z)

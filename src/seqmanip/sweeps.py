@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 from .dp import best_response_with_table
 from .engine import DEFAULT_STATE_BUDGET, BudgetExceeded, _allocate, _greedy_trace, _resolve_budget, manipulator_bundle
 from .model import Instance, Item, generate_random_instance
-from .oracle import DEFAULT_POLICY_BUDGET, _choice_tree, _is_crucial, dominated_greedy_best
+from .oracle import DEFAULT_POLICY_BUDGET, choice_tree_best, dominated_greedy_best, is_crucial
 from .responses import truthful_response
 
 # Instance specs: ("exhaustive", n, policy, rankings-of-others) or ("random", n, m, seed).
@@ -123,9 +123,9 @@ def check_spec(
         state_budget = _resolve_budget(budget, DEFAULT_STATE_BUDGET)
         policy_budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
         sol_dp, table = best_response_with_table(inst, budget=state_budget)
-        optimum, sol_tree = _choice_tree(inst, state_budget)
+        sol_tree = choice_tree_best(inst, budget=state_budget)
         sol_dom, _certificate = dominated_greedy_best(inst, budget=policy_budget)
-        crucial = _is_crucial(inst, optimum, state_budget, policy_budget) if check_crucial else None
+        crucial = is_crucial(inst, budget=policy_budget) if check_crucial else None
     except RuntimeError as exc:
         if type(exc) is not BudgetExceeded and not str(exc).startswith("internal error"):
             raise

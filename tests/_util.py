@@ -95,6 +95,17 @@ def achievable_bundles_exact(inst: sm.Instance, target: frozenset) -> bool:
     return bool(_reachable(inst, picks, _resolve_budget(None, DEFAULT_STATE_BUDGET))[-1])
 
 
+def crucial_by_choice_tree(inst: sm.Instance) -> bool:
+    """The definition of a crucial instance, with one choice tree per
+    strictly dominated policy."""
+    own = sm.choice_tree_best(inst).utility
+    return all(
+        sm.choice_tree_best(inst.with_policy(pol)).utility < own
+        for pol in sm.enumerate_dominated(inst.policy)
+        if pol != inst.policy
+    )
+
+
 def random_strategy(inst: sm.Instance, rng: random.Random) -> tuple[str, ...]:
     return tuple(rng.sample(list(inst.items), inst.m))
 

@@ -157,9 +157,11 @@ def test_criterion_05_half_optimality_and_preservation_properties(pools):
 def test_criterion_06_crucial_instances_greedy_optimal(pools):
     ok = True
     details = []
-    for name in ("exhaustive n=2 m<=6", "exhaustive n=3 m<=4"):
+    # These counts came from a separate search per strictly dominated
+    # policy; the crucial check, read off the dominated walk, must match them.
+    for name, expected in (("exhaustive n=2 m<=6", 15126), ("exhaustive n=3 m<=4", 28388)):
         summary = pools[name]
-        ok &= summary.crucial_count > 0 and not summary.crucial_greedy_gaps
+        ok &= summary.crucial_count == expected and not summary.crucial_greedy_gaps
         details.append(f"{name}: {summary.crucial_count} crucial, 0 greedy gaps")
         if summary.crucial_greedy_gaps:
             details.append(f"GAPS {summary.crucial_greedy_gaps[:3]}")

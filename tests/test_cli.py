@@ -257,6 +257,31 @@ def test_verify_requires_a_mode(capsys):
     assert "nothing to do" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--random", "-5"], "verify: --random must be at least 0"),
+        (["verify", "--exhaustive", "--agents", "2", "--max-items", "-1"], "verify: --max-items must be at least 0"),
+        (["verify", "--random", "3", "--max-items", "0"], "verify: --max-items must be at least 1"),
+        (["verify", "--exhaustive", "--agents", "0"], "verify: --agents must be at least 1"),
+        (["bench", "--sizes", "5", "--per-size", "-2"], "bench: --per-size must be at least 1"),
+        (["bench", "--sizes", "5,x"], "bench: --sizes must be comma-separated item counts"),
+    ],
+)
+def test_verify_and_bench_reject_bad_counts_before_any_sweep(capsys, monkeypatch, argv, message):
+    from seqmanip import sweeps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(sweeps, "sweep", refuse)
+    monkeypatch.setattr(sweeps, "bench_many", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_bench_csv_schema(capsys):
     code, out, _err = run_cli(
         capsys, "bench", "--sizes", "5,6", "--per-size", "1", "--seed", "2", "--csv", "-"

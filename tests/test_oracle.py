@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import seqmanip as sm
-from _util import achievable_bundles_exact, random_instances
+from _util import achievable_bundles_exact, crucial_by_choice_tree, random_instances
 
 
 def test_choice_tree_example1(ex1):
@@ -221,52 +221,34 @@ def test_crucial_optimum_multiplicity_logged_not_asserted():
     print(f"crucial instances with multiple optimal traces: {multiple}")
 
 
-def _crucial_by_choice_tree(inst) -> bool:
-    """The definition, with one choice tree per strictly dominated policy."""
-    own = sm.choice_tree_best(inst).utility
-    return all(
-        sm.choice_tree_best(inst.with_policy(pol)).utility < own
-        for pol in sm.enumerate_dominated(inst.policy)
-        if pol != inst.policy
-    )
-
-
 def test_is_crucial_matches_the_choice_tree_definition():
     crucial = 0
     for inst, seed in random_instances(150, seed=23, agents=(2, 3), max_items=6):
-        expected = _crucial_by_choice_tree(inst)
+        expected = crucial_by_choice_tree(inst)
         assert sm.is_crucial(inst) == expected, f"seed={seed}"
-        optimum = sm.choice_tree_best(inst).utility
-        assert sm.is_crucial(inst, optimum=optimum) == expected, f"seed={seed}"
         crucial += expected
     assert 0 < crucial < 150
 
 
-def test_is_crucial_rejects_an_optimum_no_bundle_can_have(ex1):
-    with pytest.raises(ValueError):
-        sm.is_crucial(ex1, optimum=Fraction(17, 2))
-
-
 def test_is_crucial_budget_caps_the_dominated_searches(ex1):
-    optimum = sm.choice_tree_best(ex1).utility
     with pytest.raises(sm.BudgetExceeded):
-        sm.is_crucial(ex1, budget=3, optimum=optimum)
-    assert not sm.is_crucial(ex1, optimum=optimum)
+        sm.is_crucial(ex1, budget=3)
+    assert not sm.is_crucial(ex1)
 
 
-def test_reaches_hits_the_optimum_exactly_on_the_exhaustive_n2_m5_pool():
-    # A state is often reached again with a different weight still needed;
-    # this pool has states whose best completion is exactly one less than
-    # the weight they failed to reach before.
+def test_is_crucial_matches_the_definition_on_the_exhaustive_n2_m5_pool():
+    # The crucial check reads the strict dominatees' greedy outcomes off
+    # the dominated walk; the definition runs one choice tree per strictly
+    # dominated policy.
     from seqmanip import sweeps
-    from seqmanip.oracle import _choice_tree, _reaches
 
+    crucial = 0
     for spec in sweeps.iter_exhaustive_specs(2, 5, min_items=5):
         inst = sweeps.build_instance(spec)
-        for pol in sm.enumerate_dominated(inst.policy):
-            variant = inst.with_policy(pol)
-            best = _choice_tree(variant, 10**7)[0]
-            assert _reaches(inst, pol, best, 10**7) and not _reaches(inst, pol, best + 1, 10**7), (spec, pol)
+        expected = crucial_by_choice_tree(inst)
+        assert sm.is_crucial(inst) == expected, spec
+        crucial += expected
+    assert 0 < crucial < 3840
 
 
 def test_dominated_greedy_walk_matches_a_greedy_run_per_dominated_policy():
@@ -287,7 +269,7 @@ def test_dominated_greedy_walk_matches_a_greedy_run_per_dominated_policy():
 
 def test_dominated_greedy_and_the_crucial_check_build_no_instance_per_policy(monkeypatch, ex1):
     """The certificate is the greedy trace of the best policy on the
-    instance itself, and each dominated policy's search runs on the
+    instance itself, and the crucial check reads the same walk over the
     instance's own view, so neither needs ``with_policy``."""
     instances = [ex1] + [inst for inst, _seed in random_instances(100, seed=71, agents=(2, 3, 4), max_items=7)]
     expected = [(sm.dominated_greedy_best(inst), sm.is_crucial(inst)) for inst in instances]
@@ -335,5 +317,5 @@ def test_no_search_has_a_depth_limit():
     tree = sm.choice_tree_best(inst)
     dominated, _certificate = sm.dominated_greedy_best(inst)
     assert tree.utility == dominated.utility == sm.best_response_with_table(inst)[0].utility
-    assert sm.is_crucial(inst) == _crucial_by_choice_tree(inst)
+    assert sm.is_crucial(inst) == crucial_by_choice_tree(inst)
     assert achievable_bundles_exact(inst, tree.bundle.items)

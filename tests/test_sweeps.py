@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import seqmanip as sm
-from seqmanip import engine, policy, sweeps
+from seqmanip import engine, oracle, policy, sweeps
 
 
 def test_exhaustive_spec_counts():
@@ -180,3 +180,24 @@ def test_check_spec_reads_the_budget_variable_once_per_budget(monkeypatch):
     record = sweeps.check_spec(("exhaustive", 2, (1, 2, 2, 1), (("g2", "g3", "g1", "g4"),)), check_crucial=True)
     assert record.crucial is not None
     assert reads.count(engine.BUDGET_ENV_VAR) == 2
+
+
+def test_check_spec_calls_each_public_oracle_once(monkeypatch):
+    # Rebind every seqmanip module's reference to each oracle, as a tracer
+    # wrapping the public functions from outside would.
+    calls = dict.fromkeys(("choice_tree_best", "dominated_greedy_best", "is_crucial"), 0)
+    modules = [module for key, module in sys.modules.items() if module is not None and key.startswith("seqmanip")]
+    for name in calls:
+        original = getattr(oracle, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    for count, spec in enumerate(_crucial_specs(40), start=1):
+        sweeps.check_spec(spec, check_crucial=True)
+        assert calls == dict.fromkeys(calls, count), spec
