@@ -203,7 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import sweeps
 
     # A random instance has at least one item.
-    _check_bounds(args, {"--random": 0, "--agents": 1, "--max-items": 1 if args.random else 0})
+    _check_bounds(args, {"--random": 0, "--agents": 1, "--max-items": 1 if args.random else 0, "--workers": 1})
     specs = []
     if args.exhaustive:
         specs.append(sweeps.iter_exhaustive_specs(args.agents, args.max_items))
@@ -245,7 +245,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     tokens = [tok.strip() for tok in args.sizes.split(",") if tok]
     if not tokens or not all(tok.isdecimal() for tok in tokens):
         raise InstanceError("bench", "--sizes must be comma-separated item counts, each at least 0")
-    _check_bounds(args, {"--agents": 1, "--per-size": 1})
+    _check_bounds(args, {"--agents": 1, "--per-size": 1, "--workers": 1})
     sizes = [int(tok) for tok in tokens]
     params = [
         (args.agents, m, args.seed + offset)

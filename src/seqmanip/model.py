@@ -63,6 +63,10 @@ class InstanceError(ValueError):
         self.message = message
         super().__init__(f"{path}: {message}")
 
+    def __reduce__(self):
+        # Rebuilt from both fields, so that the error crosses a process pool.
+        return type(self), (self.path, self.message)
+
 
 class _IntegerView(NamedTuple):
     """Items numbered by their position in ``Instance.items``.

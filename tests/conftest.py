@@ -22,3 +22,19 @@ def ex1():
 @pytest.fixture
 def ex1_document():
     return _util.example1_document()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The instances the dominated walk's body runs on, in order."""
+    from seqmanip import oracle
+
+    walked = []
+    real_walk = oracle._walk
+
+    def counted(inst, budget):
+        walked.append(inst)
+        return real_walk(inst, budget)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    return walked

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -408,3 +409,9 @@ def test_with_policy_matches_make_instance(data):
         except sm.InstanceError as err:
             outcomes.append(err.path)
     assert outcomes[0] == outcomes[1]
+
+
+def test_instance_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(sm.InstanceError("items", "bad")))
+    assert type(err) is sm.InstanceError
+    assert (err.path, err.message, str(err)) == ("items", "bad", "items: bad")

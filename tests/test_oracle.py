@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -234,6 +236,98 @@ def test_is_crucial_budget_caps_the_dominated_searches(ex1):
     with pytest.raises(sm.BudgetExceeded):
         sm.is_crucial(ex1, budget=3)
     assert not sm.is_crucial(ex1)
+
+
+def _six_items(other=("g4", "g2", "g6", "g1", "g3", "g5")):
+    """A fresh n=2 m=6 instance with 7 dominated policies; ``other`` is
+    agent 2's ranking."""
+    from seqmanip import sweeps
+
+    return sweeps.build_instance(("exhaustive", 2, (2, 1, 2, 1, 1, 2), (other,)))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(sm.dominated_greedy_best, sm.is_crucial), (sm.is_crucial, sm.dominated_greedy_best)],
+    ids=["optimum-then-crucial", "crucial-then-optimum"],
+)
+def test_a_kept_walk_answers_and_fails_as_a_fresh_walk(walks, first, second):
+    inst = _six_items()
+    twin = _six_items()
+    count = len(list(sm.enumerate_dominated(inst.policy)))
+    assert count > 2
+    with pytest.raises(sm.BudgetExceeded) as fresh_error:
+        second(twin, budget=count - 1)
+    expected = second(twin, budget=count)
+    del walks[:]
+    first(inst)
+    assert walks == [inst]
+    with pytest.raises(sm.BudgetExceeded) as kept_error:
+        second(inst, budget=count - 1)
+    assert str(kept_error.value) == str(fresh_error.value)
+    assert second(inst, budget=count) == expected
+    assert second(inst) == expected
+    assert walks == [inst]
+
+
+def test_a_walk_that_raised_keeps_nothing(walks):
+    inst = _six_items()
+    with pytest.raises(sm.BudgetExceeded):
+        sm.is_crucial(inst, budget=1)
+    sm.is_crucial(inst)
+    assert walks == [inst, inst]
+
+
+def test_every_other_instance_object_gets_a_fresh_walk(walks):
+    from seqmanip import oracle
+
+    inst = _six_items()
+    # Same policy, other ranking: a different walk result.
+    other = _six_items(("g6", "g5", "g4", "g3", "g2", "g1"))
+    kept = oracle._dominated_walk(inst, 10**6)
+    assert oracle._dominated_walk(other, 10**6) != kept
+    copy = inst.with_policy(inst.policy)
+    equal = _six_items()
+    assert copy == equal == inst
+    for variant in (copy, equal):
+        oracle._dominated_walk(inst, 10**6)
+        assert oracle._dominated_walk(variant, 10**6) == kept
+        assert walks[-1] is variant
+    # The instance itself, holding another instance's view: walked on that view.
+    oracle._dominated_walk(inst, 10**6)
+    inst.__dict__["view"] = other.view
+    assert oracle._dominated_walk(inst, 10**6) == oracle._dominated_walk(other, 10**6)
+    assert walks == [inst, other, inst, copy, inst, equal, inst, inst, other]
+
+
+def test_concurrent_calls_never_read_another_instances_walk():
+    from seqmanip import sweeps
+
+    specs = itertools.islice(sweeps.iter_exhaustive_specs(2, 5, min_items=5), 0, None, 97)
+    insts = [sweeps.build_instance(spec) for spec in specs]
+    expected = [(sm.dominated_greedy_best(inst), sm.is_crucial(inst)) for inst in insts]
+    wrong = []
+
+    def run(offset):
+        for _ in range(3):
+            for j in range(len(insts)):
+                i = (j + offset) % len(insts)
+                got = (sm.dominated_greedy_best(insts[i]), sm.is_crucial(insts[i]))
+                if got != expected[i]:
+                    wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_is_crucial_matches_the_definition_on_the_exhaustive_n2_m5_pool():

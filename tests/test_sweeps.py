@@ -104,6 +104,15 @@ def test_a_sweep_failure_names_its_spec(monkeypatch):
     assert str(err.value.__cause__).startswith("internal error: ")
 
 
+def test_an_instance_error_in_a_worker_reaches_the_caller():
+    # Zero agents is rejected while the instance is built, in the worker.
+    for workers in (1, 2):
+        with pytest.raises(sm.InstanceError, match=r"^agents: need at least one agent$") as err:
+            sweeps.sweep([("random", 0, 3, 1)], workers=workers)
+        assert type(err.value) is sm.InstanceError
+        assert err.value.path == "agents"
+
+
 def _crucial_specs(count):
     """``count`` specs spread over the exhaustive n=2 m=6 pool."""
     return list(itertools.islice(sweeps.iter_exhaustive_specs(2, 6, min_items=6), 0, None, 46080 // count))
@@ -201,3 +210,13 @@ def test_check_spec_calls_each_public_oracle_once(monkeypatch):
     for count, spec in enumerate(_crucial_specs(40), start=1):
         sweeps.check_spec(spec, check_crucial=True)
         assert calls == dict.fromkeys(calls, count), spec
+
+
+def test_a_crucial_check_walks_the_dominated_policies_once(walks):
+    # dominated_greedy_best walks; is_crucial reads the walk it kept.
+    specs = _crucial_specs(40)
+    for spec in specs:
+        before = len(walks)
+        sweeps.check_spec(spec, check_crucial=True)
+        assert len(walks) - before == 1, spec
+    assert len(walks) == len(specs) == 40
