@@ -264,12 +264,12 @@ def test_verify_requires_a_mode(capsys):
         (["verify", "--exhaustive", "--agents", "2", "--max-items", "-1"], "verify: --max-items must be at least 0"),
         (["verify", "--random", "3", "--max-items", "0"], "verify: --max-items must be at least 1"),
         (["verify", "--exhaustive", "--agents", "0"], "verify: --agents must be at least 1"),
+        (["bench", "--sizes", "5", "--per-size", "-2"], "bench: --per-size must be at least 1"),
+        (["bench", "--sizes", "5,x"], "bench: --sizes must be comma-separated item counts"),
         (["verify", "--exhaustive", "--agents", "2", "--max-items", "2", "--workers", "-3"],
          "verify: --workers must be at least 1"),
-        (["bench", "--sizes", "5", "--per-size", "-2"], "bench: --per-size must be at least 1"),
         (["bench", "--agents", "2", "--sizes", "3", "--per-size", "1", "--workers", "0"],
          "bench: --workers must be at least 1"),
-        (["bench", "--sizes", "5,x"], "bench: --sizes must be comma-separated item counts"),
     ],
 )
 def test_verify_and_bench_reject_bad_counts_before_any_sweep(capsys, monkeypatch, argv, message):
