@@ -4,7 +4,8 @@ JSON goes to standard output, logs to standard error.  Exit codes: 0 on
 success, 1 on invalid input, 2 on an internal verification mismatch (the
 dynamic program disagreeing with an oracle, or a solver's self-check
 failing, which must never happen), 3 when a search budget (the dynamic
-program's states, an oracle's states or policies) is exceeded.
+program's states, an oracle's states or policies) is exceeded or memory
+runs out.
 
 Each command imports the solvers it runs, so ``solve`` without ``--check``
 loads neither the oracles nor the sweeps.
@@ -381,6 +382,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         _log(f"error: {exc}")
+        return EXIT_BUDGET
+    except MemoryError:
+        _log("error: out of memory; lower --budget or give the process more memory")
         return EXIT_BUDGET
     except RuntimeError as exc:
         # A solver's self-check failed: a bug, reported like an oracle mismatch.

@@ -13,9 +13,17 @@ stores the best utility reaching its state, the predecessor state and the
 segment's q; of two candidates with equal utility the smaller (q, pred)
 wins.  Utilities are the instance view's integer weights (each utility
 times ``view.scale``), so every sum and comparison is on Python ints.
-Within a stage a state is one int key and an entry is a tuple of ints; the
-returned :class:`DPTable` decodes a :class:`DPState`, its :class:`DPEntry`
-and the ``Fraction`` utility only when one is read.
+While a stage is built, its states are two parallel lists, int keys and
+weights, and a predecessor is an index into the previous stage's lists.
+A finished stage keeps one ``array('Q')`` of ``pred_index << bits | q``
+per state (``bits = m.bit_length()``; q is at most m), about 9 bytes per
+stored state, and the previous stage's lists are dropped.  The last
+stage keeps only its best total and that state's index: the highest
+total, then the smallest key.  A solve replays its chain from these
+arrays alone.  The returned :class:`DPTable` decodes a :class:`DPState`,
+its :class:`DPEntry` and the ``Fraction`` utility only when the mapping is
+first read: it runs the build again, keeping each stage's keys and
+weights, and checks that the rebuild packs the same arrays.
 
 A state's allocated items are exactly the items that the agents 2..n rank
 above their last picks: each agent took its top remaining item, and each
@@ -68,8 +76,8 @@ facts, each by induction over the stages, make the orders equal:
 A group's predecessors differ only in the stage agent's rank, so they
 are stored by ascending rank, hence ascending y.  The first reaches every
 candidate of the group, in ascending y, and the plain loop stores the
-group's keys in one block at its turn.  So the walk's sort of a group
-meets sorted input.
+group's keys in one block at its turn.  So a group's members, in stored
+order, are already in (y, key) order, and the walk sorts nothing.
 
 A stored state's trace is rebuilt as the greedy trace of its chain's turns
 (:func:`engine._greedy_trace`): per entry, q manipulator turns and then the
@@ -81,6 +89,7 @@ budget.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from fractions import Fraction
 from typing import NamedTuple
@@ -112,100 +121,93 @@ class DPTable(Mapping[DPState, DPEntry]):
     """The stored states of one solve, read-only, in the order the build
     stored them.
 
-    ``stages[x]`` maps the key of each state of stage x to its integer
-    weight, its predecessor's key in stage x - 1 and its q.  A state
+    ``packed[x]`` holds, for the i-th state of stage x, its predecessor's
+    index in stage x - 1 shifted left by ``bits``, plus its q.  A state
     ``(x, y, i2..in)`` is keyed by one int: ``y`` in the top bits, then
-    each last rank in a field ``m.bit_length()`` bits wide, at
+    each last rank in a field ``bits = m.bit_length()`` wide, at
     ``shifts[agent]``.  Every field is at most m, so keys order as their
-    states do.  ``core`` is the policy's stage agents, for replays."""
+    states do, and ``low`` masks one field or a q.  ``core`` is the
+    policy's stage agents, for replays.  The first mapping read rebuilds
+    the stages' keys and weights (see the module docstring)."""
 
-    def __init__(self, inst: Instance, core: tuple[Agent, ...]):
+    def __init__(self, inst: Instance, budget: int):
         n = inst.n_agents
-        bits = inst.m.bit_length()
-        self.core = core
-        self.stages: list[dict[int, tuple[int, int, int]]] = [{0: (0, 0, 0)}]
+        self.bits = bits = inst.m.bit_length()
+        self.core = inst.decomposition.core
+        self.packed: list[array] = [array("Q", [0])]
         self.low = (1 << bits) - 1
         self.y_shift = (n - 1) * bits
         self.shifts = {agent: (n - agent) * bits for agent in range(2, n + 1)}
-        self._m = inst.m
-        self._scale = inst.view.scale
+        self._inst = inst
+        self._budget = budget
+        self._entries: dict[DPState, DPEntry] | None = None
+        self._index: dict[DPState, int] = {}
 
-    def _state(self, x: int, key: int) -> DPState:
-        return DPState(x, key >> self.y_shift, tuple([(key >> s) & self.low for s in self.shifts.values()]))
+    def _view(self) -> dict[DPState, DPEntry]:
+        """Every stored state's entry, in stored order; on the first call,
+        from a second build that keeps each stage's keys and weights."""
+        if self._entries is None:
+            rebuilt, _best, _best_index, (stage_keys, stage_weights, _totals) = _build(self._inst, self._budget, True)
+            if rebuilt.packed != self.packed:
+                raise RuntimeError("internal error: the dynamic program's rebuild stored a different table")
+            scale, bits, low = self._inst.view.scale, self.bits, self.low
+            entries: dict[DPState, DPEntry] = {}
+            states: list[DPState] = []
+            for x, (keys, weights, packed) in enumerate(zip(stage_keys, stage_weights, self.packed)):
+                previous = states
+                states = [
+                    DPState(x, key >> self.y_shift, tuple([(key >> s) & low for s in self.shifts.values()]))
+                    for key in keys
+                ]
+                for index, (state, weight, code) in enumerate(zip(states, weights, packed)):
+                    entries[state] = DPEntry(Fraction(weight, scale), previous[code >> bits] if x else None, code & low)
+                    self._index[state] = index
+            self._entries = entries
+        return self._entries
 
     def locate(self, state: object) -> tuple[int, int]:
-        """The stage and key of a stored ``state``; ``KeyError`` otherwise."""
-        try:
-            x, y, last_rank = state  # type: ignore[misc]
-            if len(last_rank) == len(self.shifts) and all(0 <= r <= self._m for r in (y, *last_rank)):
-                key = y << self.y_shift
-                for shift, r in zip(self.shifts.values(), last_rank):
-                    key |= r << shift
-                if 0 <= x < len(self.stages) and key in self.stages[x]:
-                    return x, key
-        except (TypeError, ValueError):
-            pass
-        raise KeyError(state)
+        """The stage and index of a stored ``state``; ``KeyError`` otherwise."""
+        self._view()
+        index = self._index[state]  # type: ignore[index]
+        return state[0], index  # type: ignore[index]
 
     def __getitem__(self, state: DPState) -> DPEntry:
-        x, key = self.locate(state)
-        weight, pred, q = self.stages[x][key]
-        return DPEntry(Fraction(weight, self._scale), self._state(x - 1, pred) if x else None, q)
+        return self._view()[state]
 
     def __iter__(self) -> Iterator[DPState]:
-        for x, stage in enumerate(self.stages):
-            for key in stage:
-                yield self._state(x, key)
+        return iter(self._view())
 
     def __len__(self) -> int:
-        return sum(map(len, self.stages))
-
-    def _pairs(self) -> Iterator[tuple[DPState, DPEntry]]:
-        """Every (state, entry) in one walk over the stages, each state
-        decoded once: an entry's predecessor is taken from the states of
-        the stage before."""
-        decoded: dict[int, DPState] = {}
-        for x, stage in enumerate(self.stages):
-            previous, decoded = decoded, {}
-            for key, (weight, pred, q) in stage.items():
-                decoded[key] = state = self._state(x, key)
-                yield state, DPEntry(Fraction(weight, self._scale), previous[pred] if x else None, q)
+        return sum(map(len, self.packed))
 
     def items(self) -> ItemsView[DPState, DPEntry]:
-        return _Items(self)
+        return self._view().items()
 
     def values(self) -> ValuesView[DPEntry]:
-        return _Values(self)
+        return self._view().values()
 
 
-class _Items(ItemsView):
-    def __iter__(self) -> Iterator[tuple[DPState, DPEntry]]:
-        return self._mapping._pairs()
-
-
-class _Values(ValuesView):
-    def __iter__(self) -> Iterator[DPEntry]:
-        return (entry for _, entry in self._mapping._pairs())
-
-
-def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int]]:
-    """Fill the table; returns it plus, for the key of each state of the
-    final stage, its complete total as an integer weight: the manipulator
-    takes every item left after the last segment.  Raises
+def _build(
+    inst: Instance, budget: int, keep: bool = False
+) -> tuple[DPTable, int, int, tuple[list[list[int]], list[list[int]], list[int]] | None]:
+    """Fill the table; returns it, the best complete total of a final state
+    as an integer weight (the manipulator takes every item left after the
+    last segment) and that state's index in the last stage.  Raises
     :class:`BudgetExceeded` when the table would store more than
-    ``budget`` states.
+    ``budget`` states.  With ``keep`` it also returns every stage's keys
+    and weights and every final state's total, in stored order.
 
     A stage takes two steps.  First one pass over the predecessor keys
-    puts each key into its group.  Then each group, in the order the
-    groups first appear, is walked once: T from its first member, the
-    members sorted by (y, key), and one loop over y.  The budget is
-    checked before each group's block of new keys."""
+    puts each key's index into its group.  Then each group, in the order
+    the groups first appear, is walked once: T from its first member, the
+    members in stored order, and one loop over y.  The budget is checked
+    before each group's block of new keys."""
     dec = inst.decomposition
-    table = DPTable(inst, dec.core)
+    table = DPTable(inst, budget)
     m = inst.m
     view = inst.view
     weight, bit = view.weight, view.bits
-    low, y_shift, shifts = table.low, table.y_shift, table.shifts
+    low, y_shift, shifts, bits = table.low, table.y_shift, table.shifts, table.bits
     y_unit = 1 << y_shift
     # placed[a][i]: agent a's key field holding item i as its last pick;
     # above[a][r]: agent a's top r items, as a bit set.
@@ -222,77 +224,99 @@ def _build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int]]:
     for agent, shift in shifts.items():
         others = [(shifts[other], above[other]) for other in shifts if other != agent]
         steps[agent] = (view.prefs[agent], placed[agent], shift, ~(low << shift) & (y_unit - 1), others)
-    stage = table.stages[0]
+    keys, weights = [0], [0]
     stored = 1
-    # each final state's total; with no stage the base state takes every item
-    final = {} if dec.core else {0: sum(weight)}
+    # with no stage the base state takes every item
+    best, best_key, best_index = (-1, 0, 0) if dec.core else (sum(weight), 0, 0)
+    stage_keys, stage_weights, totals = [keys], [weights], [] if dec.core else [best]
     for x in range(1, len(dec.core) + 1):
         pref, agent_placed, shift, group_mask, others = steps[dec.core[x - 1]]
         y_top = min(dec.k_prefix[x], m - x)
         last = x == len(dec.core)
-        new_stage: dict[int, tuple[int, int, int]] = {}
+        # the last stage's keys and weights are needed only for a kept table
+        store = keep or not last
+        packed = array("Q")
+        new_keys: list[int] = []
+        new_weights: list[int] = []
         groups: dict[int, list[int]] = {}
-        for pred_key in stage:
+        for index, pred_key in enumerate(keys):
             members = groups.get(pred_key & group_mask)
             if members is None:
-                groups[pred_key & group_mask] = [pred_key]
+                groups[pred_key & group_mask] = [index]
             else:
-                members.append(pred_key)
-        # a key past the top y, which no loop over y reaches
-        end = (y_top + 1) << y_shift
+                members.append(index)
+        # a member past the top y, which no loop over y reaches
+        end = len(keys)
+        keys.append((y_top + 1) << y_shift)
         for group_key, members in groups.items():
+            first = keys[members[0]]
             taken = 0
             for other_shift, other_above in others:
-                taken |= other_above[(members[0] >> other_shift) & low]
-            # y is a key's top field, so keys sort by (y, key)
-            members.sort()
-            lowest_y = members[0] >> y_shift
-            if stored + len(new_stage) + y_top + 1 - lowest_y > budget:
+                taken |= other_above[(first >> other_shift) & low]
+            lowest_y = first >> y_shift
+            if stored + len(packed) + y_top + 1 - lowest_y > budget:
                 raise BudgetExceeded(
                     f"dynamic program would store more than {budget} states; raise the budget to continue"
                 )
-            pos = (members[0] >> shift) & low
+            pos = (first >> shift) & low
             if last:
                 # the items the first member leaves free: its chain from its scan on
                 free = sum([weight[i] for i in pref[pos:] if not taken & bit[i]])
             members.append(end)
             ahead = iter(members)
-            member_key = next(ahead)
+            member = next(ahead)
+            member_y = lowest_y
             key = group_key + (lowest_y << y_shift)
             cand_weight, start = -1, lowest_y
             for y in range(lowest_y, y_top + 1):
                 # ties: the larger start (smaller q), then the smaller key
-                while member_key >> y_shift == y:
-                    member_weight = stage[member_key][0]
+                while member_y == y:
+                    member_weight = weights[member]
                     if member_weight > cand_weight or (member_weight == cand_weight and start != y):
-                        cand_weight, pred, start = member_weight, member_key, y
-                    member_key = next(ahead)
+                        # pred_code + y packs the predecessor's index and q = y - start
+                        cand_weight, pred_code, start = member_weight, (member << bits) - y, y
+                    member = next(ahead)
+                    member_y = keys[member] >> y_shift
                 received = pref[pos]
                 while taken & bit[received]:
                     pos += 1
                     received = pref[pos]
                 pos += 1
                 received_weight = weight[received]
-                new_stage[key + agent_placed[received]] = (cand_weight, pred, y - start)
+                packed.append(pred_code + y)
                 if last:
                     free -= received_weight
-                    final[key + agent_placed[received]] = cand_weight + free
+                    total = cand_weight + free
+                    if total >= best and (total > best or key + agent_placed[received] < best_key):
+                        best, best_key, best_index = total, key + agent_placed[received], len(packed) - 1
+                    if keep:
+                        totals.append(total)
+                if store:
+                    new_keys.append(key + agent_placed[received])
+                    new_weights.append(cand_weight)
                 cand_weight += received_weight
                 key += y_unit
-        table.stages.append(new_stage)
-        stored += len(new_stage)
-        stage = new_stage
-    return table, final
+        keys.pop()
+        table.packed.append(packed)
+        stored += len(packed)
+        keys, weights = new_keys, new_weights
+        if keep:
+            stage_keys.append(keys)
+            stage_weights.append(weights)
+    return table, best, best_index, (stage_keys, stage_weights, totals) if keep else None
 
 
-def _chain_turns(table: DPTable, x: int, key: int) -> list[Agent]:
-    """The turn order of the stored chain ending at stage ``x``'s ``key``:
-    per entry, q manipulator turns and then the stage agent's turn."""
+def _chain_turns(table: DPTable, x: int, index: int) -> list[Agent]:
+    """The turn order of the stored chain ending at stage ``x``'s
+    ``index``-th state: per entry, q manipulator turns and then the stage
+    agent's turn."""
     turns: list[Agent] = []
+    bits, low = table.bits, table.low
     while x:
-        _, key, q = table.stages[x][key]
+        code = table.packed[x][index]
         turns.append(table.core[x - 1])
-        turns.extend([MANIPULATOR] * q)
+        turns.extend([MANIPULATOR] * (code & low))
+        index = code >> bits
         x -= 1
     turns.reverse()
     return turns
@@ -315,11 +339,8 @@ def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple
     ``budget`` states (default 10**7, overridable via the
     ``SEQMANIP_BUDGET`` environment variable).
     """
-    table, final = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
-    # the best total; among equal totals the smallest state (keys order as states do)
-    best = max(final.values())
-    best_key = min(key for key, total in final.items() if total == best)
-    turns = _chain_turns(table, len(table.stages) - 1, best_key)
+    table, best, best_index, _kept = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
+    turns = _chain_turns(table, len(table.packed) - 1, best_index)
     seq = engine._greedy_trace(inst, turns + [MANIPULATOR] * (inst.m - len(turns)))
     solution = engine._certify(inst, seq, best, "the optimal chain's strategy does not recover its bundle")
     return Solution(solution.strategy, seq, solution.bundle), table

@@ -3,7 +3,8 @@
 :func:`reference_build` runs the recurrence directly: every predecessor
 tries every q from 0 to its q_max and keeps a candidate when it beats the
 stored one, with one dict lookup per try.  Its work per predecessor grows
-with the chain length, but its stage dicts are the specification of the
+with the chain length, but its stage dicts, each mapping a key to its
+weight, its predecessor's key and its q, are the specification of the
 chain pass in :func:`seqmanip.dp._build`: the same keys, the same entries
 and the same insertion order.  Its completion pops every free item of
 each final state, one at a time; ``_build``'s totals must equal it.
@@ -16,13 +17,13 @@ from seqmanip.engine import BudgetExceeded
 from seqmanip.model import Instance
 
 
-def reference_build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int]]:
+def reference_build(inst: Instance, budget: int) -> tuple[list[dict[int, tuple[int, int, int]]], dict[int, int]]:
     dec = inst.decomposition
-    table = DPTable(inst, dec.core)
+    layout = DPTable(inst, budget)  # the key fields only
     m = inst.m
     view = inst.view
     weight, bit = view.weight, view.bits
-    low, y_shift, shifts = table.low, table.y_shift, table.shifts
+    low, y_shift, shifts = layout.low, layout.y_shift, layout.shifts
     y_unit = 1 << y_shift
     # placed[a][i]: agent a's key field holding item i as its last pick;
     # above[a][r]: agent a's top r items, as a bit set.
@@ -32,7 +33,8 @@ def reference_build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int
         above[agent] = sets = [0]
         for i in view.prefs[agent]:
             sets.append(sets[-1] | bit[i])
-    stage = table.stages[0]
+    stages: list[dict[int, tuple[int, int, int]]] = [{0: (0, 0, 0)}]
+    stage = stages[0]
     stored = 1
     for x in range(1, len(dec.core) + 1):
         stage_agent = dec.core[x - 1]
@@ -70,7 +72,7 @@ def reference_build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int
                 cand_weight += weight[received]
                 key += y_unit
                 pos += 1
-        table.stages.append(new_stage)
+        stages.append(new_stage)
         stored += len(new_stage)
         stage = new_stage
     every = (1 << m) - 1
@@ -85,4 +87,4 @@ def reference_build(inst: Instance, budget: int) -> tuple[DPTable, dict[int, int
             total += weight[(free & -free).bit_length() - 1]
             free &= free - 1
         final[key] = total
-    return table, final
+    return stages, final

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import seqmanip as sm
-from seqmanip import engine
+from seqmanip import cli, engine
 from seqmanip.cli import main
 from _util import example1_document
 
@@ -111,6 +111,52 @@ def test_solve_state_budget_exits_budget_without_traceback(tmp_path):
     assert "dynamic program would store more than 10 states" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command, target", [("solve", "best_response_with_table"), ("greedy", "parse_instance")]
+)
+def test_memory_error_exits_budget_with_one_line_and_no_output(capsys, monkeypatch, ex1_path, command, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = run_cli(capsys, command, ex1_path)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "memory" in err, err
+    assert "Traceback" not in err
+
+
+def _address_space_limit(mib):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+
+    probe = subprocess.run([sys.executable, "-c", "bytearray(256 << 20)"], capture_output=True, preexec_fn=limit)
+    if probe.returncode == 0:
+        pytest.skip("RLIMIT_AS is not enforced here")
+    return limit
+
+
+def test_solve_of_a_400_item_three_agent_instance_fits_96_mib():
+    # The packed table keeps about 9 bytes per stored state; the stage
+    # dicts it replaced (about 150 B each) ran out of memory here.
+    limit = _address_space_limit(96)
+    document = subprocess.run(
+        [sys.executable, "-m", "seqmanip", "gen", "--agents", "3", "--items", "400", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    solve = [sys.executable, "-m", "seqmanip", "solve", "-"]
+    limited = subprocess.run(solve, input=document, capture_output=True, text=True, preexec_fn=limit)
+    assert limited.returncode == 0, limited.stderr
+    unlimited = subprocess.run(solve, input=document, capture_output=True, text=True, check=True)
+    assert limited.stdout == unlimited.stdout
 
 
 def run_with_budget(command, ex1_path, flag=None, variable=None):

@@ -245,8 +245,9 @@ def test_stored_states_are_closed_under_the_minimum_and_stored_in_its_order():
     checked = 0
     for spec in sweeps.iter_random_specs(1200, range(3, 6), 9, seed=79):
         table = best_response_with_table(sweeps.build_instance(spec))[1]
-        for stage in table.stages:
-            ranks = [tuple((key >> shift) & table.low for shift in table.shifts.values()) for key in stage]
+        for x in range(len(table.packed)):
+            # the rebuilt states, in stored order
+            ranks = [state.last_rank for state in table if state.x == x]
             stored = set(ranks)
             for i, later in enumerate(ranks):
                 for earlier in ranks[:i]:
@@ -257,12 +258,23 @@ def test_stored_states_are_closed_under_the_minimum_and_stored_in_its_order():
 
 
 def _same_stages(inst) -> None:
-    table, final = dp._build(inst, 10**7)
-    expected_table, expected_final = reference_build(inst, 10**7)
-    assert len(table.stages) == len(expected_table.stages)
-    for x, (stage, expected) in enumerate(zip(table.stages, expected_table.stages)):
-        assert list(stage.items()) == list(expected.items()), (inst, x)
-    assert list(final.items()) == list(expected_final.items()), inst
+    table, best, best_index, (stage_keys, stage_weights, totals) = dp._build(inst, 10**7, keep=True)
+    expected_stages, expected_final = reference_build(inst, 10**7)
+    assert len(table.packed) == len(stage_keys) == len(stage_weights) == len(expected_stages)
+    for x, expected in enumerate(expected_stages):
+        keys, weights, packed = stage_keys[x], stage_weights[x], table.packed[x]
+        assert len(keys) == len(weights) == len(packed), (inst, x)
+        stage = [
+            (key, (weight, stage_keys[x - 1][code >> table.bits] if x else 0, code & table.low))
+            for key, weight, code in zip(keys, weights, packed)
+        ]
+        assert stage == list(expected.items()), (inst, x)
+    assert list(zip(stage_keys[-1], totals)) == list(expected_final.items()), inst
+    # the best total, then the smallest key; the lean build packs the same arrays
+    assert best == max(totals), inst
+    assert stage_keys[-1][best_index] == min(key for key, total in zip(stage_keys[-1], totals) if total == best)
+    lean, *lean_best, lean_kept = dp._build(inst, 10**7)
+    assert lean.packed == table.packed and lean_best == [best, best_index] and lean_kept is None, inst
 
 
 def test_chain_pass_stores_what_the_per_q_loop_stores():
@@ -320,7 +332,7 @@ def test_build_reads_a_ranking_a_bounded_number_of_times_per_stored_state(n, m):
     for agent in prefs:
         prefs[agent] = _CountingTuple(prefs[agent])
     _CountingTuple.reads = 0
-    table, _final = dp._build(inst, 10**7)
+    table = dp._build(inst, 10**7)[0]
     assert _CountingTuple.reads <= 8 * len(table), _CountingTuple.reads / len(table)
 
 
@@ -335,7 +347,7 @@ def test_build_walks_each_chain_position_once(n, m, cap):
     for agent in prefs:
         prefs[agent] = _CountingTuple(prefs[agent])
     _CountingTuple.reads = 0
-    table, _final = dp._build(inst, 10**7)
+    table = dp._build(inst, 10**7)[0]
     assert _CountingTuple.reads <= cap * len(table), _CountingTuple.reads / len(table)
 
 
@@ -412,18 +424,20 @@ def test_table_is_a_read_only_mapping_that_decodes_on_access(ex1):
             replay_state(ex1, table, missing)
 
 
-def test_a_stored_state_costs_at_most_200_bytes():
-    m = 60
-    inst = sm.generate_random_instance(3, m, seed=2).with_policy([1 + t % 3 for t in range(m)])
-    tracemalloc.start()
-    try:
-        table, final = dp._build(inst, 10**7)
-        del final
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(table) > 3000
-    assert retained / len(table) <= 200, retained / len(table)
+def test_a_stored_state_costs_at_most_16_bytes():
+    # What a solve's table retains: one packed (pred, q) word per state,
+    # 8.8-12.6 B here.  The stage dicts it replaced kept about 150 B.
+    for n, m in [(3, 60), (3, 90), (2, 200), (4, 60)]:
+        inst = sm.generate_random_instance(n, m, seed=2).with_policy([1 + t % n for t in range(m)])
+        inst.view, inst.decomposition  # built and cached before measuring
+        tracemalloc.start()
+        try:
+            table = best_response_with_table(inst)[1]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 3000, (n, m)
+        assert retained / len(table) <= 16, (n, m, retained / len(table))
 
 
 def test_items_and_values_decode_each_state_once(monkeypatch):
@@ -438,3 +452,26 @@ def test_items_and_values_decode_each_state_once(monkeypatch):
     assert list(table.items()) == pairs
     assert list(table.values()) == [entry for _, entry in pairs]
     assert len(table.items()) == len(table.values()) == len(table)
+
+
+def test_a_solve_builds_once_and_the_view_rebuilds_once_on_first_read(monkeypatch, ex1):
+    builds = []
+    build = dp._build
+
+    def counted(inst, budget, keep=False):
+        builds.append(keep)
+        return build(inst, budget, keep)
+
+    monkeypatch.setattr(dp, "_build", counted)
+    table = best_response_with_table(ex1)[1]
+    assert len(table) == sum(map(len, table.packed)) > 1
+    assert builds == [False]
+    base = DPState(0, 0, (0, 0))
+    assert table[base] == sm.DPEntry(Fraction(0), None, 0)
+    assert len(list(table.items())) == len(table)
+    assert replay_state(ex1, table, DPState(1, 0, (0, 1))) == (("e", 3),)
+    assert builds == [False, True]
+    _solution, broken = best_response_with_table(ex1)
+    broken.packed[-1][0] ^= 1
+    with pytest.raises(RuntimeError, match="^internal error: "):
+        broken[base]

@@ -103,7 +103,7 @@ def test_dp_build_does_no_fraction_arithmetic(monkeypatch):
     base = sm.generate_random_instance(2, 60, seed=4)
     inst = base.with_policy([1 + t % 2 for t in range(60)])
     calls = count_fraction_ops(monkeypatch)
-    table, _final = dp._build(inst, 10**7)
+    table = dp._build(inst, 10**7)[0]
     assert len(table) > 400
     assert sum(calls.values()) == 0, calls
 
@@ -122,7 +122,7 @@ def test_dp_build_makes_a_state_only_for_stored_states(monkeypatch):
         return state_type(*args)
 
     monkeypatch.setattr(dp, "DPState", counting_state)
-    table, _final = dp._build(inst, 10**7)
+    table = dp._build(inst, 10**7)[0]
     assert len(table) > 400
     assert made == 0, made
     assert len(list(table)) == made == len(table)
