@@ -14,10 +14,12 @@ loads neither the oracles nor the sweeps.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dp import best_response_with_table
 from .engine import BudgetExceeded, Solution, _positive_int, manipulator_bundle
@@ -42,6 +44,30 @@ def _log(message: str) -> None:
 
 def _emit(payload: object) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+# ``solve --dump-table`` writes this many rows at a time.
+_ROWS_PER_WRITE = 1024
+
+
+def _emit_table(payload: dict, rows: Iterable[dict]) -> None:
+    """``_emit({**payload, "table": list(rows)})`` for non-empty ``rows``,
+    written ``_ROWS_PER_WRITE`` rows at a time, so that neither every row
+    nor the whole text is held at once.  The rows go where a NaN put in
+    their place is printed: no other value in a payload is a float, and no
+    string's text holds a raw newline, so "NaN\\n" occurs there only."""
+    head, tail = json.dumps({**payload, "table": [math.nan]}, indent=2, sort_keys=True).split("NaN\n")
+    cut = head.rindex("\n")
+    head, newline = head[:cut], head[cut:]  # ``newline``: a newline and the rows' indent
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    write = sys.stdout.write
+    rows = iter(rows)
+    separator = head
+    while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+        # Each row of an encoded list starts with a newline and two spaces.
+        write(separator + encode(batch)[1:-2].replace("\n  ", newline))
+        separator = ","
+    write(f"\n{tail}\n")
 
 
 def _load_instance(path: str) -> Instance:
@@ -99,19 +125,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not agrees:
             _log("verification mismatch: dynamic program disagrees with the dominated-greedy oracle")
             exit_code = EXIT_MISMATCH
-    if args.dump_table:
-        payload["table"] = [
-            {
-                "state": {"x": state.x, "y": state.y, "last_rank": list(state.last_rank)},
-                "utility": str(entry.utility),
-                "pred": None
-                if entry.pred is None
-                else {"x": entry.pred.x, "y": entry.pred.y, "last_rank": list(entry.pred.last_rank)},
-                "q": entry.q,
-            }
-            for state, entry in sorted(table.items())
-        ]
-    _emit(payload)
+    if not args.dump_table:
+        _emit(payload)
+        return exit_code
+    rows = (
+        {
+            "state": {"x": state.x, "y": state.y, "last_rank": list(state.last_rank)},
+            "utility": str(entry.utility),
+            "pred": None
+            if entry.pred is None
+            else {"x": entry.pred.x, "y": entry.pred.y, "last_rank": list(entry.pred.last_rank)},
+            "q": entry.q,
+        }
+        for state, entry in sorted(table.items())
+    )
+    _emit_table(payload, rows)
     return exit_code
 
 

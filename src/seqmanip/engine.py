@@ -22,7 +22,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .model import MANIPULATOR, Agent, Instance, Item, _clip
+from .model import MANIPULATOR, Agent, Instance, Item, _clip, _IntegerView
 
 Step = tuple[Item, Agent]
 AllocationSequence = tuple[Step, ...]
@@ -87,14 +87,31 @@ class Solution(NamedTuple):
 
 def bundle_items(seq: Sequence[Step], agent: Agent) -> frozenset[Item]:
     """Items allocated to ``agent`` in a trace."""
-    return frozenset(item for item, a in seq if a == agent)
+    picked = []
+    for item, a in seq:
+        if a == agent:
+            picked.append(item)
+    return frozenset(picked)
+
+
+def _weight(view: _IntegerView, items: frozenset[Item]) -> int:
+    """The manipulator's total integer weight for ``items``."""
+    weight, index = view.weight, view.index
+    total = 0
+    for item in items:
+        total += weight[index[item]]
+    return total
+
+
+def _utility(weight: int, scale: int) -> Fraction:
+    """``Fraction(weight, scale)``, without its gcd when ``scale`` is 1."""
+    return Fraction(weight) if scale == 1 else Fraction(weight, scale)
 
 
 def manipulator_bundle(inst: Instance, seq: Sequence[Step]) -> Bundle:
     items = bundle_items(seq, MANIPULATOR)
     view = inst.view
-    weight, index = view.weight, view.index
-    return Bundle(items, Fraction(sum(weight[index[i]] for i in items), view.scale))
+    return Bundle(items, _utility(_weight(view, items), view.scale))
 
 
 def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
@@ -122,9 +139,9 @@ def _certify(inst: Instance, seq: Sequence[Step], weight: int, what: str) -> Sol
     executed = execute(inst, strategy)
     items = bundle_items(executed, MANIPULATOR)
     view = inst.view
-    if items != picked or sum(view.weight[view.index[i]] for i in items) != weight:
+    if items != picked or _weight(view, items) != weight:
         raise RuntimeError(f"internal error: {what}")
-    return Solution(strategy, executed, Bundle(items, Fraction(weight, view.scale)))
+    return Solution(strategy, executed, Bundle(items, _utility(weight, view.scale)))
 
 
 def _allocate(

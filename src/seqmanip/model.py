@@ -344,28 +344,60 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+# ``Fraction(v)`` for v below 64, shared by the instances generated with
+# fewer items: a table of fixed size, where a cache per item count would
+# grow with the input.
+_SMALL_FRACTIONS = tuple(map(Fraction, range(64)))
+
+
 def generate_random_instance(n_agents: int, n_items: int, seed: int) -> Instance:
     """Deterministic random instance: uniform rankings and policy.
 
     The manipulator's utilities are the integers ``n_items .. 1`` assigned
     along its ranking; magnitudes do not matter to the ordinal agents.
+
+    The instance is the one that ``rng = random.Random(seed)`` gives with
+    ``rng.sample(items, n_items)`` per agent, then ``rng.randrange(1,
+    n_agents + 1)`` per turn.  Those draws are made here from
+    ``rng.getrandbits`` alone, the way ``sample`` (whose pool branch every
+    full permutation takes) and ``randrange`` make them, so the stream does
+    not rest on those methods' internals, which Python may change.
     """
     if n_agents < 1:
         raise InstanceError("agents", "need at least one agent")
     if n_items < 0:
         raise InstanceError("items", "item count must be non-negative")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     items = [f"g{i}" for i in range(1, n_items + 1)]
-    rankings = {
-        agent: tuple(rng.sample(items, len(items)))
-        for agent in range(1, n_agents + 1)
-    }
-    policy = tuple(rng.randrange(1, n_agents + 1) for _ in range(n_items))
-    utility = {
-        item: Fraction(n_items - pos)
-        for pos, item in enumerate(rankings[MANIPULATOR])
-    }
-    return make_instance(items, n_agents, policy, rankings, utility)
+    rankings = {}
+    for agent in range(1, n_agents + 1):
+        # ``sample``'s pool branch: draw j below the pool's size, take
+        # pool[j] and fill its place with the pool's last item.
+        pool = items[:]
+        ranking = []
+        for size in range(n_items, 0, -1):
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:  # ``_randbelow``: redraw until below ``size``
+                j = getrandbits(bits)
+            ranking.append(pool[j])
+            pool[j] = pool[size - 1]
+        rankings[agent] = tuple(ranking)
+    # ``randrange(1, n_agents + 1)`` is 1 + ``_randbelow(n_agents)``.
+    bits = n_agents.bit_length()
+    policy = []
+    for _ in range(n_items):
+        agent = getrandbits(bits)
+        while agent >= n_agents:
+            agent = getrandbits(bits)
+        policy.append(agent + 1)
+    # The canonical fields that ``make_instance`` would store.
+    if n_items < len(_SMALL_FRACTIONS):
+        values = _SMALL_FRACTIONS[n_items:0:-1]
+    else:
+        values = map(Fraction, range(n_items, 0, -1))
+    utility = dict(zip(rankings[MANIPULATOR], values))
+    return Instance(tuple(sorted(items)), n_agents, tuple(policy), rankings, utility)
 
 
 def generate_tightness_instance(k: int) -> Instance:

@@ -53,6 +53,15 @@ def test_solve_dump_table(capsys, ex1_path):
     assert len(base) == 1 and base[0]["utility"] == "0"
 
 
+@pytest.mark.parametrize("rows_per_write", [1, 2, 1024])
+def test_dump_table_batches_print_the_text_of_one_dump(capsys, monkeypatch, rows_per_write):
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+    payload = {"bundle": ["NaN", "x\nNaN\n"], "dp_states": 5, "utility": "NaN"}
+    rows = [{"pred": None, "q": q, "state": {"last_rank": [q] * (q % 3), "x": q, "y": 0}} for q in range(5)]
+    cli._emit_table(payload, iter(rows))
+    assert capsys.readouterr().out == json.dumps({**payload, "table": rows}, indent=2, sort_keys=True) + "\n"
+
+
 def test_greedy_command(capsys, ex1_path):
     code, out, _err = run_cli(capsys, "greedy", ex1_path)
     assert code == 0
@@ -157,6 +166,24 @@ def test_solve_of_a_400_item_three_agent_instance_fits_96_mib():
     assert limited.returncode == 0, limited.stderr
     unlimited = subprocess.run(solve, input=document, capture_output=True, text=True, check=True)
     assert limited.stdout == unlimited.stdout
+
+
+def test_dump_table_of_a_150_item_three_agent_instance_fits_96_mib():
+    # The rows are encoded and written a batch at a time; the whole list of
+    # row dicts and its text (about 4 KB per stored state) ran out of memory.
+    limit = _address_space_limit(96)
+    document = subprocess.run(
+        [sys.executable, "-m", "seqmanip", "gen", "--agents", "3", "--items", "150", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    solve = [sys.executable, "-m", "seqmanip", "solve", "--dump-table", "-"]
+    limited = subprocess.run(solve, input=document, capture_output=True, text=True, preexec_fn=limit)
+    assert limited.returncode == 0, limited.stderr
+    unlimited = subprocess.run(solve, input=document, capture_output=True, text=True, check=True)
+    assert limited.stdout == unlimited.stdout
+    assert len(json.loads(limited.stdout)["table"]) == 50577
 
 
 def run_with_budget(command, ex1_path, flag=None, variable=None):

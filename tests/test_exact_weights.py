@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqmanip as sm
 from seqmanip import dp
@@ -60,6 +61,36 @@ def test_mixed_denominators_three_way_agreement(n, m, seed):
         assert entry.utility == sum(
             (inst.utility[item] for item, agent in trace if agent == sm.MANIPULATOR), Fraction(0)
         )
+
+
+@st.composite
+def mixed_denominator_instances(draw):
+    """n <= 4, m <= 7: any rankings and policy, and distinct utilities whose
+    denominators are drawn from 1, 2, 3, 5, 7 and 12, decreasing along the
+    manipulator's ranking."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 7))
+    items = [f"g{i}" for i in range(1, m + 1)]
+    rankings = {agent: draw(st.permutations(items)) for agent in range(1, n + 1)}
+    policy = draw(st.lists(st.integers(1, n), min_size=m, max_size=m))
+    fraction = st.builds(Fraction, st.integers(1, 40), st.sampled_from((1, 2, 3, 5, 7, 12)))
+    values = draw(st.lists(fraction, min_size=m, max_size=m, unique=True))
+    utility = dict(zip(rankings[1], sorted(values, reverse=True)))
+    return sm.make_instance(items, n, policy, rankings, utility)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(mixed_denominator_instances())
+def test_mixed_denominator_property_three_way_agreement_and_half_bound(inst):
+    solution, _table = sm.best_response_with_table(inst)
+    tree = sm.choice_tree_best(inst)
+    dominated, _certificate = sm.dominated_greedy_best(inst)
+    truthful = sm.truthful_response(inst)
+    assert solution.utility == tree.utility == dominated.utility
+    assert 2 * truthful.utility >= solution.utility
+    for result in (solution, tree, dominated, truthful):
+        assert type(result.utility) is Fraction
+        assert result.utility == sum((inst.utility[i] for i in result.bundle.items), Fraction(0))
 
 
 def test_prime_denominators_n2_m200():
