@@ -17,46 +17,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MANIPULATOR",
-    "Instance",
-    "InstanceError",
-    "parse_instance",
-    "serialize_instance",
-    "make_instance",
-    "generate_random_instance",
-    "generate_tightness_instance",
-    "PolicyDecomposition",
-    "decompose",
-    "dominates",
-    "enumerate_dominated",
-    "AllocationSequence",
-    "PickingStrategy",
-    "Bundle",
-    "bundle_items",
-    "execute",
-    "trace_feasible",
-    "strategy_from_sequence",
-    "is_greedy",
-    "manipulator_bundle",
-    "greedy_alg",
-    "Solution",
-    "BudgetExceeded",
-    "choice_tree_best",
-    "dominated_greedy_best",
-    "is_crucial",
-    "DPState",
-    "DPEntry",
-    "replay_state",
-    "best_response_with_table",
-    "truthful_response",
-    "ApproximationReport",
-    "approximation_report",
-    "better_than_truth",
-    "allocation_response",
-    "__version__",
-]
-
 # Each submodule with the public names it defines.
 _EXPORTS = {
     "model": "MANIPULATOR Instance InstanceError parse_instance serialize_instance make_instance "
@@ -67,11 +27,12 @@ _EXPORTS = {
     "greedy": "greedy_alg",
     "oracle": "choice_tree_best dominated_greedy_best is_crucial",
     "dp": "DPState DPEntry replay_state best_response_with_table",
-    "responses": "truthful_response ApproximationReport approximation_report better_than_truth allocation_response",
+    "responses": "truthful_response ApproximationReport approximation_report allocation_response",
     "cli": "",
     "sweeps": "",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

@@ -141,7 +141,6 @@ class DPTable(Mapping[DPState, DPEntry]):
         self._inst = inst
         self._budget = budget
         self._entries: dict[DPState, DPEntry] | None = None
-        self._index: dict[DPState, int] = {}
 
     def _view(self) -> dict[DPState, DPEntry]:
         """Every stored state's entry, in stored order; on the first call,
@@ -159,17 +158,10 @@ class DPTable(Mapping[DPState, DPEntry]):
                     DPState(x, key >> self.y_shift, tuple([(key >> s) & low for s in self.shifts.values()]))
                     for key in keys
                 ]
-                for index, (state, weight, code) in enumerate(zip(states, weights, packed)):
+                for state, weight, code in zip(states, weights, packed):
                     entries[state] = DPEntry(Fraction(weight, scale), previous[code >> bits] if x else None, code & low)
-                    self._index[state] = index
             self._entries = entries
         return self._entries
-
-    def locate(self, state: object) -> tuple[int, int]:
-        """The stage and index of a stored ``state``; ``KeyError`` otherwise."""
-        self._view()
-        index = self._index[state]  # type: ignore[index]
-        return state[0], index  # type: ignore[index]
 
     def __getitem__(self, state: DPState) -> DPEntry:
         return self._view()[state]
@@ -323,8 +315,16 @@ def _chain_turns(table: DPTable, x: int, index: int) -> list[Agent]:
 
 
 def replay_state(inst: Instance, table: DPTable, state: DPState) -> AllocationSequence:
-    """Reconstruct the stored partial trace realising ``state``."""
-    return engine._greedy_trace(inst, _chain_turns(table, *table.locate(state)))
+    """Reconstruct the stored partial trace realising ``state``, following
+    the entries' predecessors; ``KeyError`` when ``state`` is not stored."""
+    turns: list[Agent] = []
+    entry = table[state]
+    for x in range(state[0], 0, -1):
+        turns.append(table.core[x - 1])
+        turns.extend([MANIPULATOR] * entry.q)
+        entry = table[entry.pred]
+    turns.reverse()
+    return engine._greedy_trace(inst, turns)
 
 
 def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple[Solution, DPTable]:
@@ -339,7 +339,7 @@ def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple
     ``budget`` states (default 10**7, overridable via the
     ``SEQMANIP_BUDGET`` environment variable).
     """
-    table, best, best_index, _kept = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
+    table, best, best_index, _stages = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
     turns = _chain_turns(table, len(table.packed) - 1, best_index)
     seq = engine._greedy_trace(inst, turns + [MANIPULATOR] * (inst.m - len(turns)))
     solution = engine._certify(inst, seq, best, "the optimal chain's strategy does not recover its bundle")

@@ -6,11 +6,8 @@ core cross-validation of this package.  One is the paper's structural
 result: under any policy P, the optimum is the best greedy outcome over the
 policies P dominates.  Domination is transitive, so the best optimum over
 P's strict dominatees is the best greedy outcome over them, and the same
-walk decides :func:`is_crucial`.  The module keeps its last completed
-dominated walk, keyed by the identity of the instance walked and of its
-``view`` and ``decomposition``, so that :func:`is_crucial` after
-:func:`dominated_greedy_best` on the same instance (or before it) reads the
-walk instead of making it again.  The other, the choice tree, goes turn by
+walk decides :func:`is_crucial`; :func:`_dominated` answers both from one
+walk for a caller that asks both.  The other, the choice tree, goes turn by
 turn over the allocated sets reachable so far: a non-manipulator turn is
 forced and a manipulator turn branches over its picks.  No search recurses,
 so only a budget limits an instance's length.  Every allocated set here is
@@ -156,9 +153,7 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     enumeration order, i.e. the lexicographically first position vector.
     Raises :class:`BudgetExceeded` past ``budget`` policies.
     """
-    best_weight, best_policy, _strict = _dominated_walk(inst, _resolve_budget(budget, DEFAULT_POLICY_BUDGET))
-    what = "greedy strategy of the best dominated policy does not recover its bundle on the original policy"
-    return engine._certify(inst, _greedy_trace(inst, best_policy), best_weight, what), best_policy
+    return _dominated(inst, budget)[:2]
 
 
 def is_crucial(inst: Instance, budget: int | None = None) -> bool:
@@ -170,51 +165,25 @@ def is_crucial(inst: Instance, budget: int | None = None) -> bool:
     and no strict dominatee dominates the instance's policy.  So the policy
     is crucial exactly when its own greedy outcome beats every strict
     dominatee's.  ``budget`` caps only the dominated policies walked, as in
-    :func:`dominated_greedy_best`, whose walk of the same instance this
-    reads when it is the one :func:`_dominated_walk` kept.
+    :func:`dominated_greedy_best`.
     """
-    best_weight, _policy, strict_weight = _dominated_walk(inst, _resolve_budget(budget, DEFAULT_POLICY_BUDGET))
+    best_weight, _policy, strict_weight = _walk(inst, _resolve_budget(budget, DEFAULT_POLICY_BUDGET))
     return strict_weight < best_weight
 
 
-# The last completed dominated walk: the instance, its view and its
-# decomposition, the number of policies walked, and the walk's result.
-_kept: tuple = (None, None, None, 0, None)
+def _dominated(inst: Instance, budget: int | None) -> tuple[Solution, Policy, bool]:
+    """:func:`dominated_greedy_best`'s solution and certificate policy and
+    :func:`is_crucial`'s answer, from one walk."""
+    best_weight, best_policy, strict_weight = _walk(inst, _resolve_budget(budget, DEFAULT_POLICY_BUDGET))
+    what = "greedy strategy of the best dominated policy does not recover its bundle on the original policy"
+    solution = engine._certify(inst, _greedy_trace(inst, best_policy), best_weight, what)
+    return solution, best_policy, strict_weight < best_weight
 
 
-def _dominated_walk(inst: Instance, budget: int) -> tuple[int, Policy, int]:
+def _walk(inst: Instance, budget: int) -> tuple[int, Policy, int]:
     """The best greedy weight over the policies dominated by the instance's
     own, the first such policy reaching it, and the best greedy weight over
     the strictly dominated ones (-1 when there are none).
-
-    The module keeps the last completed walk, with a reference to the
-    instance it walked, and answers again from it when asked about the same
-    instance object holding the same ``view`` and ``decomposition`` objects.
-    So a ``with_policy`` copy, an equal but separately built instance, or a
-    view swapped into the instance's ``__dict__`` is walked afresh.  A kept
-    walk raises :class:`BudgetExceeded`, with the fresh walk's message, when
-    it counted more than ``budget`` policies, so it answers and fails as the
-    fresh walk would.  A walk that raised keeps nothing.
-    """
-    global _kept
-    view, dec = inst.view, inst.decomposition
-    kept_inst, kept_view, kept_dec, count, result = _kept
-    if kept_inst is inst and kept_view is view and kept_dec is dec:
-        if count > budget:
-            raise _over_budget(budget)
-        return result
-    result, count = _walk(inst, budget)
-    _kept = (inst, view, dec, count, result)
-    return result
-
-
-def _over_budget(budget: int) -> BudgetExceeded:
-    return BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
-
-
-def _walk(inst: Instance, budget: int) -> tuple[tuple[int, Policy, int], int]:
-    """:func:`_dominated_walk`'s result, walked afresh, and the number of
-    dominated policies walked.
 
     The dominated policies are the orders of the instance's core turns and
     its manipulator turns in which the i-th manipulator turn comes no
@@ -263,7 +232,7 @@ def _walk(inst: Instance, budget: int) -> tuple[tuple[int, Policy, int], int]:
                 c += 1
         count += 1
         if count > budget:
-            raise _over_budget(budget)
+            raise BudgetExceeded(f"dominated-policy enumeration exceeded {budget} policies")
         if total > best_weight:
             best_weight, best_policy = total, tuple(turns)
         if count > 1 and total > strict_weight:
@@ -278,4 +247,4 @@ def _walk(inst: Instance, budget: int) -> tuple[tuple[int, Policy, int], int]:
                 break
         else:
             break
-    return (best_weight, best_policy, strict_weight), count
+    return best_weight, best_policy, strict_weight

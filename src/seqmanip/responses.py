@@ -39,13 +39,6 @@ def approximation_report(inst: Instance) -> ApproximationReport:
     return ApproximationReport(truthful=truthful, optimal=optimal, ratio=truthful / optimal)
 
 
-def better_than_truth(inst: Instance) -> bool:
-    """Can the manipulator strictly beat its truthful outcome?"""
-    if inst.k1 == 0:
-        return False
-    return best_response_with_table(inst)[0].utility > truthful_response(inst).utility
-
-
 def allocation_response(inst: Instance, target: Iterable[Item]) -> bool:
     """Can the manipulator obtain exactly ``target``?
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 from .dp import best_response_with_table
 from .engine import DEFAULT_STATE_BUDGET, BudgetExceeded, _allocate, _greedy_trace, _resolve_budget, manipulator_bundle
 from .model import Instance, Item, generate_random_instance
-from .oracle import DEFAULT_POLICY_BUDGET, choice_tree_best, dominated_greedy_best, is_crucial
+from .oracle import DEFAULT_POLICY_BUDGET, _dominated, choice_tree_best
 from .responses import truthful_response
 
 # Instance specs: ("exhaustive", n, policy, rankings-of-others) or ("random", n, m, seed).
@@ -124,8 +124,7 @@ def check_spec(
         policy_budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
         sol_dp, table = best_response_with_table(inst, budget=state_budget)
         sol_tree = choice_tree_best(inst, budget=state_budget)
-        sol_dom, _certificate = dominated_greedy_best(inst, budget=policy_budget)
-        crucial = is_crucial(inst, budget=policy_budget) if check_crucial else None
+        sol_dom, _certificate, crucial = _dominated(inst, policy_budget)
     except RuntimeError as exc:
         if type(exc) is not BudgetExceeded and not str(exc).startswith("internal error"):
             raise
@@ -146,7 +145,7 @@ def check_spec(
         utility_greedy=manipulator_bundle(inst, greedy).total_utility,
         dp_states=len(table),
         state_bound=(1 + inst.m) ** (inst.n_agents - 1) * (inst.m_prime + 1) * (inst.k1 + 1),
-        crucial=crucial,
+        crucial=crucial if check_crucial else None,
     )
 
 

@@ -448,7 +448,7 @@ def test_items_and_values_decode_each_state_once(monkeypatch):
     def no_lookup(self, state):
         raise AssertionError("items() and values() walk the stages; they look nothing up")
 
-    monkeypatch.setattr(dp.DPTable, "locate", no_lookup)
+    monkeypatch.setattr(dp.DPTable, "__getitem__", no_lookup)
     assert list(table.items()) == pairs
     assert list(table.values()) == [entry for _, entry in pairs]
     assert len(table.items()) == len(table.values()) == len(table)

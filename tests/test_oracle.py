@@ -1,6 +1,8 @@
+import gc
 import itertools
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -246,28 +248,16 @@ def _six_items(other=("g4", "g2", "g6", "g1", "g3", "g5")):
     return sweeps.build_instance(("exhaustive", 2, (2, 1, 2, 1, 1, 2), (other,)))
 
 
-@pytest.mark.parametrize(
-    "first, second",
-    [(sm.dominated_greedy_best, sm.is_crucial), (sm.is_crucial, sm.dominated_greedy_best)],
-    ids=["optimum-then-crucial", "crucial-then-optimum"],
-)
-def test_a_kept_walk_answers_and_fails_as_a_fresh_walk(walks, first, second):
+@pytest.mark.parametrize("solve", [sm.dominated_greedy_best, sm.is_crucial], ids=["optimum", "crucial"])
+def test_a_budget_of_the_dominated_policy_count_answers_and_one_less_raises(walks, solve):
     inst = _six_items()
-    twin = _six_items()
     count = len(list(sm.enumerate_dominated(inst.policy)))
     assert count > 2
-    with pytest.raises(sm.BudgetExceeded) as fresh_error:
-        second(twin, budget=count - 1)
-    expected = second(twin, budget=count)
-    del walks[:]
-    first(inst)
-    assert walks == [inst]
-    with pytest.raises(sm.BudgetExceeded) as kept_error:
-        second(inst, budget=count - 1)
-    assert str(kept_error.value) == str(fresh_error.value)
-    assert second(inst, budget=count) == expected
-    assert second(inst) == expected
-    assert walks == [inst]
+    with pytest.raises(sm.BudgetExceeded, match=f"^dominated-policy enumeration exceeded {count - 1} policies$"):
+        solve(inst, budget=count - 1)
+    assert solve(inst, budget=count) == solve(inst)
+    # Every call walks afresh: the oracles keep no walk between calls.
+    assert walks == [inst] * 3
 
 
 def test_a_walk_that_raised_keeps_nothing(walks):
@@ -278,26 +268,14 @@ def test_a_walk_that_raised_keeps_nothing(walks):
     assert walks == [inst, inst]
 
 
-def test_every_other_instance_object_gets_a_fresh_walk(walks):
-    from seqmanip import oracle
-
+def test_the_oracles_keep_no_reference_to_an_instance():
     inst = _six_items()
-    # Same policy, other ranking: a different walk result.
-    other = _six_items(("g6", "g5", "g4", "g3", "g2", "g1"))
-    kept = oracle._dominated_walk(inst, 10**6)
-    assert oracle._dominated_walk(other, 10**6) != kept
-    copy = inst.with_policy(inst.policy)
-    equal = _six_items()
-    assert copy == equal == inst
-    for variant in (copy, equal):
-        oracle._dominated_walk(inst, 10**6)
-        assert oracle._dominated_walk(variant, 10**6) == kept
-        assert walks[-1] is variant
-    # The instance itself, holding another instance's view: walked on that view.
-    oracle._dominated_walk(inst, 10**6)
-    inst.__dict__["view"] = other.view
-    assert oracle._dominated_walk(inst, 10**6) == oracle._dominated_walk(other, 10**6)
-    assert walks == [inst, other, inst, copy, inst, equal, inst, inst, other]
+    sm.dominated_greedy_best(inst)
+    sm.is_crucial(inst)
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
 
 
 def test_concurrent_calls_never_read_another_instances_walk():

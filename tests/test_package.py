@@ -43,7 +43,6 @@ HOME = {
         "truthful_response",
         "ApproximationReport",
         "approximation_report",
-        "better_than_truth",
         "allocation_response",
     ],
 }

@@ -67,16 +67,6 @@ def test_ratio_undefined_without_manipulator_turns():
         sm.approximation_report(inst)
 
 
-def test_better_than_truth(ex1):
-    assert sm.better_than_truth(ex1)
-    manipulator_only = sm.make_instance(
-        ["a", "b"], 1, [1, 1], {1: ["a", "b"]}, {"a": 2, "b": 1}
-    )
-    assert not sm.better_than_truth(manipulator_only)
-    single = sm.make_instance(["a"], 2, [1], {1: ["a"], 2: ["a"]}, {"a": 1})
-    assert not sm.better_than_truth(single)
-
-
 def test_half_optimality_sampled():
     for inst, seed in random_instances(200, seed=61, max_items=8):
         truthful = sm.truthful_response(inst).utility

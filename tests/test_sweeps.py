@@ -192,9 +192,12 @@ def test_check_spec_reads_the_budget_variable_once_per_budget(monkeypatch):
 
 
 def test_check_spec_calls_each_public_oracle_once(monkeypatch):
-    # Rebind every seqmanip module's reference to each oracle, as a tracer
-    # wrapping the public functions from outside would.
-    calls = dict.fromkeys(("choice_tree_best", "dominated_greedy_best", "is_crucial"), 0)
+    # One choice tree and one dominated walk per spec, with the crucial
+    # check on or off: check_spec asks oracle._dominated for the optimum and
+    # the crucial flag, not the two public oracles that walk once each.
+    # Rebind every seqmanip module's reference to each function, as a
+    # tracer wrapping them from outside would.
+    calls = dict.fromkeys(("choice_tree_best", "_dominated", "dominated_greedy_best", "is_crucial"), 0)
     modules = [module for key, module in sys.modules.items() if module is not None and key.startswith("seqmanip")]
     for name in calls:
         original = getattr(oracle, name)
@@ -207,13 +210,17 @@ def test_check_spec_calls_each_public_oracle_once(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
-    for count, spec in enumerate(_crucial_specs(40), start=1):
-        sweeps.check_spec(spec, check_crucial=True)
-        assert calls == dict.fromkeys(calls, count), spec
+    count = 0
+    for check_crucial in (False, True):
+        for spec in _crucial_specs(40):
+            record = sweeps.check_spec(spec, check_crucial=check_crucial)
+            count += 1
+            assert (record.crucial is None) is not check_crucial, spec
+            assert calls == {"choice_tree_best": count, "_dominated": count, "dominated_greedy_best": 0, "is_crucial": 0}
 
 
 def test_a_crucial_check_walks_the_dominated_policies_once(walks):
-    # dominated_greedy_best walks; is_crucial reads the walk it kept.
+    # One walk answers both the optimum and the crucial check.
     specs = _crucial_specs(40)
     for spec in specs:
         before = len(walks)
