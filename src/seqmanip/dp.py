@@ -80,11 +80,13 @@ group's keys in one block at its turn.  So a group's members, in stored
 order, are already in (y, key) order, and the walk sorts nothing.
 
 A stored state's trace is rebuilt as the greedy trace of its chain's turns
-(:func:`engine._greedy_trace`): per entry, q manipulator turns and then the
-stage agent's turn.  :func:`best_response_with_table` is the one solver: it
-returns the optimum together with the table, and stops with
-:class:`BudgetExceeded` once the table would hold more states than its
-budget.
+(:func:`engine._greedy`): per entry, q manipulator turns and then the
+stage agent's turn.  :func:`_optimum` is the solver on item indices: the
+optimal chain's picks and their integer weight, uncertified.
+:func:`best_response_with_table` wraps it: it certifies the picks
+(:func:`engine._certify`), then returns the public solution together with
+the table.  Both stop with :class:`BudgetExceeded` once the table would
+hold more states than its budget.
 """
 
 from __future__ import annotations
@@ -324,7 +326,24 @@ def replay_state(inst: Instance, table: DPTable, state: DPState) -> AllocationSe
         turns.extend([MANIPULATOR] * entry.q)
         entry = table[entry.pred]
     turns.reverse()
-    return engine._greedy_trace(inst, turns)
+    return engine._steps(inst, turns, engine._greedy(inst, turns))
+
+
+# What a chain whose picks fail the certificate says.
+_BAD_CHAIN = "the optimal chain's strategy does not recover its bundle"
+
+
+def _optimum(inst: Instance, budget: int) -> tuple[list[int], int, DPTable, list[Agent], list[int]]:
+    """The manipulator's optimal picks (item indices, in order) and their
+    integer weight, the table, and the optimal chain's turn order with the
+    item index each of its turns takes in the chain's greedy trace.  The
+    manipulator takes every turn past the chain.  ``budget`` is resolved,
+    and nothing is certified."""
+    table, best, best_index, _stages = _build(inst, budget)
+    turns = _chain_turns(table, len(table.packed) - 1, best_index)
+    turns += [MANIPULATOR] * (inst.m - len(turns))
+    order = engine._greedy(inst, turns)
+    return engine._picks(turns, order), best, table, turns, order
 
 
 def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple[Solution, DPTable]:
@@ -339,8 +358,5 @@ def best_response_with_table(inst: Instance, budget: int | None = None) -> tuple
     ``budget`` states (default 10**7, overridable via the
     ``SEQMANIP_BUDGET`` environment variable).
     """
-    table, best, best_index, _stages = _build(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
-    turns = _chain_turns(table, len(table.packed) - 1, best_index)
-    seq = engine._greedy_trace(inst, turns + [MANIPULATOR] * (inst.m - len(turns)))
-    solution = engine._certify(inst, seq, best, "the optimal chain's strategy does not recover its bundle")
-    return Solution(solution.strategy, seq, solution.bundle), table
+    picks, best, table, turns, order = _optimum(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
+    return engine._solution(inst, picks, best, _BAD_CHAIN, (turns, order)), table

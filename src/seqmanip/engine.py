@@ -7,9 +7,18 @@ An allocation sequence is a tuple of ``(item, agent)`` steps.  A sequence
 carries its own turn order, so partial traces produced under policies other
 than the instance's own can still be checked for feasibility and
 greediness; the instance only supplies rankings and utilities.
-:func:`_allocate` is the one walk over rankings outside the solvers' inner
-loops: executions, greedy traces (:func:`_greedy_trace`) and feasibility
-checks run it.  :func:`_certify` is the solvers' one self-check.
+
+Inside the package a trace is item indices: :func:`_allocate`, the one walk
+over rankings outside the solvers' inner loops, gives the item index each
+turn takes.  Executions (:func:`_execute`), greedy traces (:func:`_greedy`)
+and feasibility checks run it, and :func:`_steps` names a trace's items
+where it leaves the package.  :func:`_certify` is the solvers' one
+self-check.  A solver claims the manipulator's picks, as item indices in
+order, and their integer weight.  The certificate plays those picks, then
+the other items in the manipulator's order, on the instance's own policy,
+and compares the picks executed and their weight with the claim.
+:func:`_solution` turns a certified claim into the public
+:class:`Solution`, with names and one ``Fraction``.
 
 The budget of a search (the DP's stored states, the oracles' expanded states
 or policies) is resolved here, so that every solver shares one rule and one
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import MANIPULATOR, Agent, Instance, Item, _clip, _IntegerView
 
@@ -94,13 +103,10 @@ def bundle_items(seq: Sequence[Step], agent: Agent) -> frozenset[Item]:
     return frozenset(picked)
 
 
-def _weight(view: _IntegerView, items: frozenset[Item]) -> int:
-    """The manipulator's total integer weight for ``items``."""
-    weight, index = view.weight, view.index
-    total = 0
-    for item in items:
-        total += weight[index[item]]
-    return total
+def _weight(view: _IntegerView, picks: Iterable[int]) -> int:
+    """The manipulator's total integer weight for the item indices ``picks``."""
+    weight = view.weight
+    return sum([weight[i] for i in picks])
 
 
 def _utility(weight: int, scale: int) -> Fraction:
@@ -111,7 +117,8 @@ def _utility(weight: int, scale: int) -> Fraction:
 def manipulator_bundle(inst: Instance, seq: Sequence[Step]) -> Bundle:
     items = bundle_items(seq, MANIPULATOR)
     view = inst.view
-    return Bundle(items, _utility(_weight(view, items), view.scale))
+    index = view.index
+    return Bundle(items, _utility(_weight(view, [index[item] for item in items]), view.scale))
 
 
 def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
@@ -124,37 +131,64 @@ def execute(inst: Instance, strategy: Sequence[Item]) -> AllocationSequence:
     view = inst.view
     if len(strategy) != inst.m or set(strategy) != view.index.keys():
         raise ValueError("picking strategy must be a permutation of the item set")
-    # The manipulator picks along its strategy as the others do along their rankings.
-    prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
-    return _allocate(inst, prefs, inst.policy, inst.policy)
+    index = view.index
+    return _steps(inst, inst.policy, _execute(inst, [index[item] for item in strategy]))
 
 
-def _certify(inst: Instance, seq: Sequence[Step], weight: int, what: str) -> Solution:
-    """The solution of ``seq``'s strategy on the instance, once executing
-    that strategy gives ``seq``'s manipulator items, worth the integer
-    ``weight``; else the solver that made ``seq`` has a bug:
-    ``RuntimeError("internal error: <what>")``.  The utility becomes a
-    ``Fraction`` only once the check has passed."""
-    strategy, picked = _strategy(inst, seq)
-    executed = execute(inst, strategy)
-    items = bundle_items(executed, MANIPULATOR)
-    view = inst.view
-    if items != picked or _weight(view, items) != weight:
+def _execute(inst: Instance, strategy: Sequence[int]) -> list[int]:
+    """The item index each turn of the instance's policy takes when the
+    manipulator picks along ``strategy``, a permutation of the item
+    indices, as the others do along their rankings."""
+    return _allocate(inst, {**inst.view.prefs, MANIPULATOR: strategy}, inst.policy)
+
+
+def _certify(inst: Instance, picks: list[int], weight: int, what: str) -> tuple[list[int], list[int]]:
+    """The strategy of a solver's claim and its execution, once the claim
+    holds: the manipulator picks the item indices ``picks``, in order,
+    worth the integer ``weight``.
+
+    The strategy is ``picks``, then the other items in the manipulator's
+    order.  Executed on the instance's own policy, the manipulator must
+    pick exactly ``picks``, and their weight must be ``weight``; else the
+    solver that made the claim has a bug: ``RuntimeError("internal error:
+    <what>")``."""
+    chosen = set(picks)
+    strategy = picks + [i for i in inst.view.prefs[MANIPULATOR] if i not in chosen]
+    order = _execute(inst, strategy)
+    executed = _picks(inst.policy, order)
+    if executed != picks or _weight(inst.view, executed) != weight:
         raise RuntimeError(f"internal error: {what}")
-    return Solution(strategy, executed, Bundle(items, _utility(weight, view.scale)))
+    return strategy, order
 
 
-def _allocate(
-    inst: Instance, prefs: dict[Agent, Sequence[int]], turns: Sequence[Agent], choosers: Sequence[Agent]
-) -> AllocationSequence:
-    """The trace in which turn ``t``, taken by ``turns[t]``, takes the first
-    item of ``prefs[choosers[t]]`` not yet in the byte mask ``taken``.  One
-    monotone cursor per ranking keeps it linear in the number of items."""
+def _solution(
+    inst: Instance, picks: list[int], weight: int, what: str, trace: tuple[Sequence[Agent], list[int]] | None = None
+) -> Solution:
+    """A solver's claim as its public :class:`Solution`, built only once
+    :func:`_certify` has passed: the strategy and the manipulator's items
+    named, and the one ``Fraction``.  The trace is the execution, unless
+    the solver gives its own ``trace``: a turn order and the item index
+    each of its turns takes."""
+    strategy, order = _certify(inst, picks, weight, what)
+    turns: Sequence[Agent] = inst.policy
+    if trace is not None:
+        turns, order = trace
     items = inst.items
+    return Solution(
+        tuple([items[i] for i in strategy]),
+        _steps(inst, turns, order),
+        Bundle(frozenset([items[i] for i in picks]), _utility(weight, inst.view.scale)),
+    )
+
+
+def _allocate(inst: Instance, prefs: dict[Agent, Sequence[int]], choosers: Sequence[Agent]) -> list[int]:
+    """The item index each turn takes, when turn ``t`` takes the first item
+    of ``prefs[choosers[t]]`` not yet in the byte mask ``taken``.  One
+    monotone cursor per ranking keeps it linear in the number of items."""
     cursors = dict.fromkeys(prefs, 0)
     taken = bytearray(inst.m)
-    steps: list[Step] = []
-    for agent, who in zip(turns, choosers):
+    order: list[int] = []
+    for who in choosers:
         pref = prefs[who]
         cur = cursors[who]
         while taken[pref[cur]]:
@@ -162,8 +196,20 @@ def _allocate(
         cursors[who] = cur + 1
         i = pref[cur]
         taken[i] = 1
-        steps.append((items[i], agent))
-    return tuple(steps)
+        order.append(i)
+    return order
+
+
+def _steps(inst: Instance, turns: Sequence[Agent], order: Sequence[int]) -> AllocationSequence:
+    """The trace in which turn ``t``, taken by ``turns[t]``, takes item
+    ``order[t]``: the item indices named."""
+    items = inst.items
+    return tuple([(items[i], agent) for i, agent in zip(order, turns)])
+
+
+def _picks(turns: Sequence[Agent], order: Sequence[int]) -> list[int]:
+    """The item indices that the manipulator's turns take, in order."""
+    return [i for i, agent in zip(order, turns) if agent == MANIPULATOR]
 
 
 def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
@@ -180,9 +226,9 @@ def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
         strategy = strategy_from_sequence(inst, steps)
     except ValueError:  # an agent that is not an int in 1..n
         return False
-    turns = [agent for _, agent in steps]
-    prefs = {**view.prefs, MANIPULATOR: [view.index[item] for item in strategy]}
-    return _allocate(inst, prefs, turns, turns) == steps
+    index = view.index
+    prefs = {**view.prefs, MANIPULATOR: [index[item] for item in strategy]}
+    return _allocate(inst, prefs, [agent for _, agent in steps]) == [index[item] for item, _ in steps]
 
 
 def strategy_from_sequence(inst: Instance, seq: Sequence[Step]) -> PickingStrategy:
@@ -191,11 +237,6 @@ def strategy_from_sequence(inst: Instance, seq: Sequence[Step]) -> PickingStrate
     manipulator's truthful order.  Raises ``ValueError`` on a step whose
     agent is not an int in 1..n, or a manipulator item that is unknown or
     repeated."""
-    return _strategy(inst, seq)[0]
-
-
-def _strategy(inst: Instance, seq: Sequence[Step]) -> tuple[PickingStrategy, set[Item]]:
-    """:func:`strategy_from_sequence`, with the set of the manipulator's items."""
     n = inst.n_agents
     index = inst.view.index
     picked: list[Item] = []
@@ -210,21 +251,21 @@ def _strategy(inst: Instance, seq: Sequence[Step]) -> tuple[PickingStrategy, set
             picked.append(item)
             picked_set.add(item)
     rest = [item for item in inst.manipulator_ranking if item not in picked_set]
-    return tuple(picked + rest), picked_set
+    return tuple(picked + rest)
 
 
-def _greedy_trace(inst: Instance, turns: Sequence[Agent]) -> AllocationSequence:
-    """The greedy trace of the turn order ``turns``: a non-manipulator turn
-    takes its agent's top remaining item, and a manipulator turn takes the
-    top remaining item of the first non-manipulator at or after it, or its
-    own once none is left."""
+def _greedy(inst: Instance, turns: Sequence[Agent]) -> list[int]:
+    """The item index each turn takes in the greedy trace of the turn order
+    ``turns``: a non-manipulator turn takes its agent's top remaining item,
+    and a manipulator turn takes the top remaining item of the first
+    non-manipulator at or after it, or its own once none is left."""
     choosers = list(turns)
     following = MANIPULATOR
     for t in range(len(turns) - 1, -1, -1):
         if turns[t] != MANIPULATOR:
             following = turns[t]
         choosers[t] = following
-    return _allocate(inst, inst.view.prefs, turns, choosers)
+    return _allocate(inst, inst.view.prefs, choosers)
 
 
 def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
@@ -237,4 +278,5 @@ def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
     """
     if not trace_feasible(inst, seq):
         raise ValueError("greediness is only defined for feasible traces")
-    return tuple(map(tuple, seq)) == _greedy_trace(inst, [agent for _, agent in seq])
+    index = inst.view.index
+    return [index[item] for item, _ in seq] == _greedy(inst, [agent for _, agent in seq])

@@ -9,7 +9,7 @@ the dynamic program.
 
 from __future__ import annotations
 
-from .engine import AllocationSequence, PickingStrategy, _greedy_trace, strategy_from_sequence
+from .engine import AllocationSequence, PickingStrategy, _greedy, _steps, strategy_from_sequence
 from .model import Instance
 
 
@@ -24,5 +24,6 @@ def greedy_alg(inst: Instance) -> tuple[AllocationSequence, PickingStrategy]:
     >>> [item for item, agent in trace if agent == 1]
     ['g2', 'g1']
     """
-    seq = _greedy_trace(inst, inst.policy)
+    policy = inst.policy
+    seq = _steps(inst, policy, _greedy(inst, policy))
     return seq, strategy_from_sequence(inst, seq)

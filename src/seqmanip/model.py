@@ -13,7 +13,10 @@ compare Python ints and turn a result back into a ``Fraction`` once, as
 ``Fraction(total, scale)``.  Next to the view, each instance keeps its
 policy's decomposition (``Instance.decomposition``, see
 :func:`seqmanip.policy.decompose`).  ``Instance.with_policy`` checks only the
-new policy, decomposes it, and shares the view.
+new policy, decomposes it, and shares the view.  It is one use of the one
+derived-copy path, ``Instance._derive``, which can also replace the rankings
+of agents 2..n: it checks only the new fields, with the constructor's checks
+(:func:`_check_policy`, :func:`_check_rankings`), and shares the rest.
 """
 
 from __future__ import annotations
@@ -160,10 +163,33 @@ class Instance:
         utilities are the same objects, so the copy shares this instance's
         integer view.
         """
-        policy = _check_policy(tuple(policy), len(self.items), self.n_agents)
+        return self._derive(tuple(policy))
+
+    def _derive(self, policy: tuple, others: Iterable[Iterable[Item]] | None = None) -> "Instance":
+        """A copy of this instance under ``policy`` and, when ``others`` is
+        given, with ``others`` as the rankings of agents 2, 3, ...
+
+        Only the new fields are checked, in the order and with the errors
+        of the constructor's check, and the policy is decomposed.  The
+        items, utilities and manipulator's ranking are the same objects,
+        and so are the index, weights and bits of the integer view.
+        """
+        n = self.n_agents
+        policy = _check_policy(policy, len(self.items), n)
+        fields = dict(self.__dict__, policy=policy)
+        if others is not None:
+            rankings = {MANIPULATOR: self.rankings[MANIPULATOR]}
+            for agent, ranking in enumerate(others, start=2):
+                rankings[agent] = tuple(ranking)
+            view = self.view
+            prefs, rank = {MANIPULATOR: view.prefs[MANIPULATOR]}, {MANIPULATOR: view.rank[MANIPULATOR]}
+            _check_rankings(rankings, n, view.index, prefs, rank)
+            view = _IntegerView(view.index, prefs, rank, view.scale, view.weight, view.bits)
+            fields.update(rankings=rankings, view=view)
+        fields["decomposition"] = _policies.decompose(policy)
         # A shallow copy, as copy.copy makes it, without its generic dispatch.
         variant = object.__new__(Instance)
-        variant.__dict__.update(self.__dict__, policy=policy, decomposition=_policies.decompose(policy))
+        variant.__dict__.update(fields)
         return variant
 
 
@@ -192,6 +218,34 @@ def _check_policy(policy: tuple, m: int, n_agents: int) -> tuple[Agent, ...]:
     return policy
 
 
+def _check_rankings(
+    rankings: Mapping[Agent, Iterable[Item]],
+    n: int,
+    index: dict[Item, int],
+    prefs: dict[Agent, tuple[int, ...]],
+    rank: dict[Agent, tuple[int, ...]],
+) -> None:
+    """Check that ``rankings`` holds exactly agents 1..n, each ranking a
+    permutation of the items that ``index`` numbers, and put each agent's
+    ranking as item indices into ``prefs`` and each item's position in it
+    into ``rank``.  An agent already in ``prefs`` was checked before."""
+    # Checked on the keys present, so the cost and the message do not grow
+    # with ``n``: n keys, each in 1..n, are exactly the agents 1..n.
+    if len(rankings) != n or not all(isinstance(a, int) and 1 <= a <= n for a in rankings):
+        raise InstanceError("rankings", f"need exactly agents 1..{n}, got {_clip(str(sorted(rankings)))}")
+    m = len(index)
+    for agent, ranking in rankings.items():
+        if agent in prefs:
+            continue
+        pref = tuple([index.get(it) if isinstance(it, str) else None for it in ranking])
+        if len(pref) != m or None in pref or len(set(pref)) != m:
+            raise InstanceError(f"rankings.{agent}", "not a permutation of the item set")
+        inverse = [0] * m
+        for pos, i in enumerate(pref):
+            inverse[i] = pos
+        prefs[agent], rank[agent] = pref, tuple(inverse)
+
+
 def _validate(inst: Instance) -> _IntegerView:
     """Check every field and return the instance's integer view."""
     # Counts and agents are exact ints: ``type(...) is int`` also rejects
@@ -213,19 +267,9 @@ def _validate(inst: Instance) -> _IntegerView:
         if not isinstance(it, str) or not it:
             raise InstanceError("items", f"item identifiers must be non-empty strings, got {_clip(repr(it))}")
     _check_policy(inst.policy, m, n)
-    # Checked on the keys present, so the cost and the message do not grow
-    # with ``n``: n keys, each in 1..n, are exactly the agents 1..n.
-    if len(inst.rankings) != n or not all(isinstance(a, int) and 1 <= a <= n for a in inst.rankings):
-        raise InstanceError("rankings", f"need exactly agents 1..{n}, got {_clip(str(sorted(inst.rankings)))}")
-    prefs, rank = {}, {}
-    for agent, ranking in inst.rankings.items():
-        pref = tuple(index.get(it) if isinstance(it, str) else None for it in ranking)
-        if len(pref) != m or None in pref or len(set(pref)) != m:
-            raise InstanceError(f"rankings.{agent}", "not a permutation of the item set")
-        inverse = [0] * m
-        for pos, i in enumerate(pref):
-            inverse[i] = pos
-        prefs[agent], rank[agent] = pref, tuple(inverse)
+    prefs: dict[Agent, tuple[int, ...]] = {}
+    rank: dict[Agent, tuple[int, ...]] = {}
+    _check_rankings(inst.rankings, n, index, prefs, rank)
     if set(inst.utility) != index.keys():
         raise InstanceError("utilities", "must assign a value to exactly the item set")
     for item, value in inst.utility.items():

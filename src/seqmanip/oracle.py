@@ -13,6 +13,11 @@ forced and a manipulator turn branches over its picks.  No search recurses,
 so only a budget limits an instance's length.  Every allocated set here is
 an int with bit ``i`` set when item ``i`` is taken, and :func:`_top` is the
 one scan for an agent's top remaining item in one.
+
+Each oracle's core, :func:`_tree` and :func:`_dominated`, works on item
+indices: it returns the manipulator's picks, in order, and their integer
+weight, uncertified.  The public functions wrap a core, certify its picks
+(:func:`engine._certify`), and only then build the ``Solution``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .engine import (
     DEFAULT_STATE_BUDGET,
     BudgetExceeded,
     Solution,
-    _greedy_trace,
     _resolve_budget,
 )
 from .model import MANIPULATOR, Instance
@@ -79,25 +83,40 @@ def _reachable(inst: Instance, picks: Sequence[int], budget: int) -> list[set[in
     return layers
 
 
+# What picks that fail the certificate or the rank-bit check say.
+_BAD_REBUILD = "rebuilt trace does not match the optimum of the backward pass"
+_BAD_DOMINATED = "greedy strategy of the best dominated policy does not recover its bundle on the original policy"
+
+
 def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
     """Exact optimum by branching over every remaining item at every
     manipulator turn (non-manipulator turns are forced).
 
-    A forward pass collects the allocated sets reachable before each turn,
-    and a backward pass gives each set the best rest of its bundle in the
-    view's integer weights; the optimum becomes a ``Fraction`` once, for
-    the rebuild check.  Raises :class:`BudgetExceeded` once the allocated
-    sets before the last turn number more than ``budget`` (default 10**7,
-    overridable via the ``SEQMANIP_BUDGET`` environment variable).
+    Raises :class:`BudgetExceeded` once the allocated sets before the last
+    turn number more than ``budget`` (default 10**7, overridable via the
+    ``SEQMANIP_BUDGET`` environment variable).  Ties between optimal
+    bundles break towards the bundle whose items rank lexicographically
+    best in the manipulator's own ranking, making the result independent
+    of exploration order (see :func:`_tree`).
+    """
+    picks, optimum = _tree(inst, _resolve_budget(budget, DEFAULT_STATE_BUDGET))
+    return engine._solution(inst, picks, optimum, _BAD_REBUILD)
 
-    Ties between optimal bundles break towards the bundle whose items rank
-    lexicographically best in the manipulator's own ranking, making the
-    result independent of exploration order.  Item ``i``'s key is its
-    weight shifted left by m bits, plus bit ``m - 1 - r`` for its rank
-    ``r`` in the manipulator's ranking.  Every bundle left from one
-    allocated set has the same size, so the larger key sum is the larger
-    weight or, on a tie, the bundle holding the better ranked item where
-    the two differ: the lexicographically smallest sorted rank tuple.
+
+def _tree(inst: Instance, budget: int) -> tuple[list[int], int]:
+    """The choice tree's picks (item indices, in order) and their integer
+    weight, the optimum; ``budget`` is resolved.
+
+    A forward pass collects the allocated sets reachable before each turn,
+    and a backward pass gives each set the best rest of its bundle.  Item
+    ``i``'s key is its weight shifted left by m bits, plus bit ``m - 1 -
+    r`` for its rank ``r`` in the manipulator's ranking.  Every bundle left
+    from one allocated set has the same size, so the larger key sum is the
+    larger weight or, on a tie, the bundle holding the better ranked item
+    where the two differ: the lexicographically smallest sorted rank tuple.
+    The rebuild takes, at each manipulator turn, the first item index on an
+    optimal path; the picks' rank bits must be the optimum's low bits, else
+    ``RuntimeError("internal error: ...")``.
     """
     m = inst.m
     view = inst.view
@@ -107,7 +126,7 @@ def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
     bits = view.bits
     key = [(w << m) | (1 << (m - 1 - r)) for w, r in zip(view.weight, rank1)]
     key_bits = list(zip(key, bits))
-    layers = _reachable(inst, range(m), _resolve_budget(budget, DEFAULT_STATE_BUDGET))
+    layers = _reachable(inst, range(m), budget)
     best = dict.fromkeys(layers[m], 0)  # allocated set -> best key sum of the rest of the bundle
     for pos in range(m - 1, -1, -1):
         agent = policy[pos]
@@ -124,25 +143,21 @@ def choice_tree_best(inst: Instance, budget: int | None = None) -> Solution:
             pref = prefs[agent]
             for taken in layers[pos]:
                 best[taken] = best[taken | bits[_top(pref, taken, bits)]]
-    # Rebuild the chosen trace: at each manipulator turn, the first item
-    # index on an optimal path.
-    steps = []
-    taken = 0
+    picks = []
+    ranks = taken = 0
     for agent in policy:
         if agent == MANIPULATOR:
             pick = next(
                 i for i in range(m) if not taken & bits[i] and key[i] + best[taken | bits[i]] == best[taken]
             )
+            picks.append(pick)
+            ranks += 1 << (m - 1 - rank1[pick])
         else:
             pick = _top(prefs[agent], taken, bits)
-        steps.append((inst.items[pick], agent))
         taken |= bits[pick]
-    optimum = best[0] >> m
-    solution = engine._certify(inst, steps, optimum, "rebuilt trace does not match the optimum of the backward pass")
-    ranks = sum(1 << (m - 1 - rank1[view.index[item]]) for item in solution.bundle.items)
     if ranks != best[0] & ((1 << m) - 1):
-        raise RuntimeError("internal error: rebuilt trace does not match the optimum of the backward pass")
-    return solution
+        raise RuntimeError(f"internal error: {_BAD_REBUILD}")
+    return picks, best[0] >> m
 
 
 def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[Solution, Policy]:
@@ -153,7 +168,8 @@ def dominated_greedy_best(inst: Instance, budget: int | None = None) -> tuple[So
     enumeration order, i.e. the lexicographically first position vector.
     Raises :class:`BudgetExceeded` past ``budget`` policies.
     """
-    return _dominated(inst, budget)[:2]
+    picks, weight, policy, _crucial = _dominated(inst, _resolve_budget(budget, DEFAULT_POLICY_BUDGET))
+    return engine._solution(inst, picks, weight, _BAD_DOMINATED), policy
 
 
 def is_crucial(inst: Instance, budget: int | None = None) -> bool:
@@ -171,13 +187,14 @@ def is_crucial(inst: Instance, budget: int | None = None) -> bool:
     return strict_weight < best_weight
 
 
-def _dominated(inst: Instance, budget: int | None) -> tuple[Solution, Policy, bool]:
-    """:func:`dominated_greedy_best`'s solution and certificate policy and
-    :func:`is_crucial`'s answer, from one walk."""
-    best_weight, best_policy, strict_weight = _walk(inst, _resolve_budget(budget, DEFAULT_POLICY_BUDGET))
-    what = "greedy strategy of the best dominated policy does not recover its bundle on the original policy"
-    solution = engine._certify(inst, _greedy_trace(inst, best_policy), best_weight, what)
-    return solution, best_policy, strict_weight < best_weight
+def _dominated(inst: Instance, budget: int) -> tuple[list[int], int, Policy, bool]:
+    """The greedy picks (item indices, in order) of the best dominated
+    policy and their integer weight, that policy, and :func:`is_crucial`'s
+    answer, from one walk; ``budget`` is resolved, and nothing is
+    certified."""
+    best_weight, best_policy, strict_weight = _walk(inst, budget)
+    picks = engine._picks(best_policy, engine._greedy(inst, best_policy))
+    return picks, best_weight, best_policy, strict_weight < best_weight
 
 
 def _walk(inst: Instance, budget: int) -> tuple[int, Policy, int]:

@@ -5,6 +5,17 @@ agreement between the dynamic program and both oracles, for the truthful
 half-optimality guarantee, and for the table-size bound.  Specs rather than
 instances travel to worker processes and appear in failure reports, so any
 failing case is replayable from its description alone.
+
+:func:`check_spec` runs the three solvers' cores on item indices
+(``dp._optimum``, ``oracle._tree``, ``oracle._dominated``), which claim the
+manipulator's picks and their integer weight.  Each claim is compared with
+the execution of its strategy (``engine._certify``); solvers that claim
+equal picks share one execution.  Utilities become ``Fraction`` only in the
+record.  The exhaustive specs of one size share their items, utilities and
+manipulator's ranking: the first spec per agent count builds its instance
+in full, and each later one derives its instance from that one
+(``Instance._derive``), checking only its policy and the rankings of agents
+2..n.
 """
 
 from __future__ import annotations
@@ -17,10 +28,11 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator
 
+from . import dp, engine, oracle
 from .dp import best_response_with_table
-from .engine import DEFAULT_STATE_BUDGET, BudgetExceeded, _allocate, _greedy_trace, _resolve_budget, manipulator_bundle
-from .model import Instance, Item, generate_random_instance
-from .oracle import DEFAULT_POLICY_BUDGET, _dominated, choice_tree_best
+from .engine import DEFAULT_STATE_BUDGET, BudgetExceeded, _resolve_budget, _utility
+from .model import Agent, Instance, Item, generate_random_instance
+from .oracle import DEFAULT_POLICY_BUDGET
 from .responses import truthful_response
 
 # Instance specs: ("exhaustive", n, policy, rankings-of-others) or ("random", n, m, seed).
@@ -55,23 +67,32 @@ def iter_random_specs(
 
 
 @cache
-def _exhaustive_fields(m: int) -> tuple[tuple[Item, ...], tuple[Item, ...], dict[Item, Fraction]]:
+def _exhaustive_fields(
+    m: int,
+) -> tuple[tuple[Item, ...], tuple[Item, ...], dict[Item, Fraction], dict[Agent, Instance]]:
     """The items, manipulator's ranking and utilities that the exhaustive
-    specs with ``m`` items share, as ``make_instance`` would store them."""
+    specs with ``m`` items share, as ``make_instance`` would store them, and
+    per agent count the first instance built from them, fully validated,
+    which the later specs of that size derive from."""
     ranking = tuple(f"g{i}" for i in range(1, m + 1))
     utility = {item: Fraction(m - pos) for pos, item in enumerate(ranking)}
-    return tuple(sorted(ranking)), ranking, utility
+    return tuple(sorted(ranking)), ranking, utility, {}
 
 
 def build_instance(spec: Spec) -> Instance:
     kind = spec[0]
     if kind == "exhaustive":
         _, n, policy, others = spec
-        items, ranking, utility = _exhaustive_fields(len(policy))
+        items, ranking, utility, bases = _exhaustive_fields(len(policy))
+        # A bool would find agent 1's base: it goes to the full check, which rejects it.
+        base = bases.get(n) if type(n) is int else None
+        if base is not None:
+            return base._derive(tuple(policy), others)
         rankings = {1: ranking}
         for agent, other in enumerate(others, start=2):
             rankings[agent] = tuple(other)
-        return Instance(items, n, tuple(policy), rankings, utility)
+        inst = bases[n] = Instance(items, n, tuple(policy), rankings, utility)
+        return inst
     if kind == "random":
         _, n, m, seed = spec
         return generate_random_instance(n, m, seed)
@@ -122,27 +143,42 @@ def check_spec(
         inst = build_instance(spec)
         state_budget = _resolve_budget(budget, DEFAULT_STATE_BUDGET)
         policy_budget = _resolve_budget(budget, DEFAULT_POLICY_BUDGET)
-        sol_dp, table = best_response_with_table(inst, budget=state_budget)
-        sol_tree = choice_tree_best(inst, budget=state_budget)
-        sol_dom, _certificate, crucial = _dominated(inst, policy_budget)
+        dp_picks, dp_weight, table, _turns, _order = dp._optimum(inst, state_budget)
+        tree_picks, tree_weight = oracle._tree(inst, state_budget)
+        dominated_picks, dominated_weight, _policy, crucial = oracle._dominated(inst, policy_budget)
+        # Each solver's claim is checked against the execution of its
+        # strategy.  Equal picks make an equal strategy, so a claim equal
+        # to one already certified, in picks and weight, would pass the
+        # same check on the same execution.
+        certified = set()
+        for picks, weight, what in (
+            (dp_picks, dp_weight, dp._BAD_CHAIN),
+            (tree_picks, tree_weight, oracle._BAD_REBUILD),
+            (dominated_picks, dominated_weight, oracle._BAD_DOMINATED),
+        ):
+            claim = (tuple(picks), weight)
+            if claim not in certified:
+                engine._certify(inst, picks, weight, what)
+                certified.add(claim)
     except RuntimeError as exc:
         if type(exc) is not BudgetExceeded and not str(exc).startswith("internal error"):
             raise
         raise type(exc)(f"{exc} (spec {spec!r})") from exc
-    # The traces of truthful_response and greedy_alg, whose solutions are not needed.
-    policy = inst.policy
-    truthful = _allocate(inst, inst.view.prefs, policy, policy)
-    greedy = _greedy_trace(inst, policy)
+    # The weights of truthful_response's and greedy_alg's bundles.
+    policy, view = inst.policy, inst.view
+    truthful = engine._weight(view, engine._picks(policy, engine._allocate(inst, view.prefs, policy)))
+    greedy = engine._weight(view, engine._picks(policy, engine._greedy(inst, policy)))
+    scale = view.scale
     return CheckRecord(
         spec=spec,
         n=inst.n_agents,
         m=inst.m,
         k1=inst.k1,
-        utility_dp=sol_dp.utility,
-        utility_tree=sol_tree.utility,
-        utility_dominated=sol_dom.utility,
-        utility_truthful=manipulator_bundle(inst, truthful).total_utility,
-        utility_greedy=manipulator_bundle(inst, greedy).total_utility,
+        utility_dp=_utility(dp_weight, scale),
+        utility_tree=_utility(tree_weight, scale),
+        utility_dominated=_utility(dominated_weight, scale),
+        utility_truthful=_utility(truthful, scale),
+        utility_greedy=_utility(greedy, scale),
         dp_states=len(table),
         state_bound=(1 + inst.m) ** (inst.n_agents - 1) * (inst.m_prime + 1) * (inst.k1 + 1),
         crucial=crucial if check_crucial else None,

@@ -232,14 +232,14 @@ def test_budget_with_more_digits_than_int_converts_is_invalid_input(ex1_path):
     ids=["solve", "choice-tree", "dominated-greedy"],
 )
 def test_failed_self_check_exits_mismatch_without_traceback(capsys, monkeypatch, ex1_path, argv):
-    real_execute = engine.execute
+    real_execute = engine._execute
 
     def truthful_execute(inst, strategy):
-        # Every certificate executes its strategy; playing the truthful
-        # ranking instead gives example 1 a bundle worth 7, not 9.
-        return real_execute(inst, inst.manipulator_ranking)
+        # Every certificate executes its strategy on item indices; playing
+        # the truthful ranking instead gives example 1 a bundle worth 7, not 9.
+        return real_execute(inst, inst.view.prefs[sm.MANIPULATOR])
 
-    monkeypatch.setattr(engine, "execute", truthful_execute)
+    monkeypatch.setattr(engine, "_execute", truthful_execute)
     code, out, err = run_cli(capsys, argv[0], ex1_path, *argv[1:])
     assert code == 2
     assert "error: internal error" in err

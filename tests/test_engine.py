@@ -140,6 +140,14 @@ def test_is_greedy_raises_on_infeasible(ex1):
         sm.is_greedy(ex1, (("a", 1), ("b", 3)))  # agent 3 wants e, not b
 
 
+def test_a_trace_longer_than_the_item_count_is_infeasible():
+    # Every item appears, but agent 2's second step repeats b: the trace
+    # has one step more than there are items.
+    rankings = {1: ["a", "b", "c"], 2: ["b", "c", "a"]}
+    inst = sm.make_instance(["a", "b", "c"], 2, [1, 2, 1], rankings, {"a": 3, "b": 2, "c": 1})
+    assert sm.trace_feasible(inst, (("a", 1), ("b", 2), ("c", 1), ("b", 2))) is False
+
+
 def test_unknown_agent_is_infeasible(ex1):
     # True and 1.0 hash as agent 1 does, but only an exact int is an agent.
     for agent in (True, 1.0, 0, ex1.n_agents + 1):

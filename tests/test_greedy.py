@@ -1,3 +1,4 @@
+import gc
 import time
 
 import pytest
@@ -51,19 +52,55 @@ def test_greedy_optimal_on_crucial_instances():
     assert hits > 5
 
 
+def _arguments(name: str, m: int) -> tuple:
+    inst = sm.generate_random_instance(3, m, seed=m)
+    return (inst,) if name == "greedy_alg" else (inst, sm.greedy_alg(inst)[0])
+
+
 @pytest.mark.parametrize("name", ["greedy_alg", "trace_feasible", "is_greedy"])
 def test_greedy_runtime_is_near_linear(name):
     def best_time(m: int) -> float:
-        inst = sm.generate_random_instance(3, m, seed=m)
         fn = getattr(sm, name)
-        args = (inst,) if name == "greedy_alg" else (inst, sm.greedy_alg(inst)[0])
+        args = _arguments(name, m)
         best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            fn(*args)
-            best = min(best, time.perf_counter() - start)
+        # A collection during a timed call would be timed with it.
+        gc.disable()
+        try:
+            for _ in range(3):
+                start = time.perf_counter()
+                fn(*args)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
         return best
 
     small, large = best_time(2000), best_time(8000)
     # a quadratic scan would blow up 16x here; allow generous noise around 4x
     assert large < 10 * max(small, 1e-4)
+
+
+@pytest.mark.parametrize("name", ["greedy_alg", "trace_feasible", "is_greedy"])
+def test_greedy_ranking_reads_grow_linearly(name):
+    # The same scaling as above, counted instead of timed: every read of a
+    # ranking, as item indices, goes through the view's ``prefs``.
+    def ranking_reads(m: int) -> int:
+        args = _arguments(name, m)
+        reads = 0
+
+        class Counted(tuple):
+            def __getitem__(self, key):
+                nonlocal reads
+                reads += 1
+                return tuple.__getitem__(self, key)
+
+        inst = args[0]
+        view = inst.view
+        # Instances refuse assignment; the counted view goes in behind that.
+        inst.__dict__["view"] = view._replace(prefs={agent: Counted(pref) for agent, pref in view.prefs.items()})
+        getattr(sm, name)(*args)
+        return reads
+
+    small, large = ranking_reads(2000), ranking_reads(8000)
+    assert 0 < small <= 10 * 2000
+    # linear growth is 4x, and a quadratic scan would be 16x
+    assert large <= 4.5 * small

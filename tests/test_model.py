@@ -48,6 +48,14 @@ def test_utility_inconsistent_with_ranking(ex1_document):
         sm.parse_instance(json.dumps(doc))
 
 
+def test_equal_utilities_along_the_ranking_are_rejected():
+    # Utilities must fall strictly along the manipulator's ranking: a tie is
+    # as inconsistent as an inversion.
+    with pytest.raises(sm.InstanceError) as err:
+        sm.make_instance(["a", "b"], 1, [1, 1], {1: ["a", "b"]}, {"a": 5, "b": 5})
+    assert str(err.value) == "utilities.b: utility inconsistent with ranking: u(a)=5 must exceed u(b)=5"
+
+
 def test_empty_instance_is_valid():
     doc = {"items": [], "agents": 2, "policy": [], "rankings": {"1": [], "2": []}, "utilities": {}}
     inst = sm.parse_instance(json.dumps(doc))

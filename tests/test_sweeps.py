@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import seqmanip as sm
-from seqmanip import engine, oracle, policy, sweeps
+from seqmanip import dp, engine, oracle, policy, sweeps
 
 
 def test_exhaustive_spec_counts():
@@ -33,6 +33,79 @@ def test_build_instance_exhaustive_spec():
     made = sm.make_instance(items, 2, spec[2], {1: items, 2: spec[3][0]}, {g: 10 - i for i, g in enumerate(items)})
     assert sweeps.build_instance(spec) == made
     assert repr(sweeps.build_instance(spec)) == repr(made)
+
+
+def _constructed(spec):
+    """The instance of an exhaustive spec from the plain constructor, which
+    checks every field."""
+    _, n, policy_, others = spec
+    m = len(policy_)
+    ranking = tuple(f"g{i}" for i in range(1, m + 1))
+    rankings = {1: ranking}
+    for agent, other in enumerate(others, start=2):
+        rankings[agent] = tuple(other)
+    utility = {item: Fraction(m - pos) for pos, item in enumerate(ranking)}
+    return sm.Instance(tuple(sorted(ranking)), n, tuple(policy_), rankings, utility)
+
+
+def test_exhaustive_specs_derive_the_instance_the_constructor_builds():
+    sweeps._exhaustive_fields.cache_clear()
+    specs = [
+        *sweeps.iter_exhaustive_specs(2, 5),
+        *itertools.islice(sweeps.iter_exhaustive_specs(3, 4), 0, None, 7),
+    ]
+    assert len(specs) == 4283 + 6810
+    for spec in specs:
+        built, made = sweeps.build_instance(spec), _constructed(spec)
+        assert built == made, spec
+        assert built.view == made.view and built.decomposition == made.decomposition, spec
+        assert built.m == made.m, spec
+
+
+def _error(build, spec):
+    with pytest.raises(sm.InstanceError) as err:
+        build(spec)
+    return err.value.path, err.value.message
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ("exhaustive", 3, (1, 2, 3), (("g1", "g1", "g2"), ("g3", "g2", "g1"))),
+        ("exhaustive", 3, (1, 2, 3), (("g1", "g2", "g3"), ("g3", "g2", "gx"))),
+        ("exhaustive", 3, (1, 2, 3), (("g1", "g2"), ("g3", "g2", "g1"))),
+        ("exhaustive", 3, (1, 2, 3), (("g2", "g3", "g1"),)),
+        ("exhaustive", 3, (1, 2, 3), (("g2", "g3", "g1"),) * 3),
+        ("exhaustive", 3, (1, 4, 3), (("g2", "g3", "g1"), ("g3", "g2", "g1"))),
+        ("exhaustive", 3, (1, 0, 3), (("g2", "g3", "g1"), ("g3", "g2", "g1"))),
+        ("exhaustive", 3, (1, True, 3), (("g2", "g3", "g1"), ("g3", "g2", "g1"))),
+        # the policy is checked before the rankings, on both paths
+        ("exhaustive", 3, (1, 2, 4), (("g1", "g1", "g2"),)),
+        ("exhaustive", True, (1, 1, 1), ()),
+        ("exhaustive", 0, (1, 1, 1), ()),
+    ],
+    ids=[
+        "repeated-item",
+        "unknown-item",
+        "short-ranking",
+        "too-few-rankings",
+        "too-many-rankings",
+        "agent-out-of-range",
+        "agent-zero",
+        "agent-bool",
+        "policy-before-rankings",
+        "bool-agent-count",
+        "no-agents",
+    ],
+)
+def test_a_malformed_exhaustive_spec_fails_as_the_constructor_does(spec):
+    expected = _error(_constructed, spec)
+    # First with no instance of its size built, then derived from one.
+    sweeps._exhaustive_fields.cache_clear()
+    assert _error(sweeps.build_instance, spec) == expected
+    for n in (1, 3):
+        sweeps.build_instance(("exhaustive", n, (1, 1, 1), (("g3", "g2", "g1"),) * (n - 1)))
+    assert _error(sweeps.build_instance, spec) == expected
 
 
 def test_random_specs_deterministic():
@@ -94,10 +167,10 @@ def test_a_sweep_failure_names_its_spec(monkeypatch):
     for workers in (1, 2):
         with pytest.raises(sm.BudgetExceeded, match=r"states; .* \(spec \('random', 3, 6, 42\)\)$"):
             sweeps.sweep([spec], workers=workers, budget=1, check_crucial=True)
-    # Every certificate executes its strategy; playing it backwards gives
-    # the manipulator other items.
-    real_execute = engine.execute
-    monkeypatch.setattr(engine, "execute", lambda inst, strategy: real_execute(inst, strategy[::-1]))
+    # Every certificate executes its strategy on item indices; playing it
+    # backwards gives the manipulator other items.
+    real_execute = engine._execute
+    monkeypatch.setattr(engine, "_execute", lambda inst, strategy: real_execute(inst, strategy[::-1]))
     with pytest.raises(RuntimeError, match=r"^internal error: .* \(spec \('random', 3, 6, 42\)\)$") as err:
         sweeps.check_spec(spec)
     assert type(err.value) is RuntimeError
@@ -118,7 +191,18 @@ def _crucial_specs(count):
     return list(itertools.islice(sweeps.iter_exhaustive_specs(2, 6, min_items=6), 0, None, 46080 // count))
 
 
-def test_check_spec_decomposes_once_and_executes_three_times(monkeypatch):
+def _distinct_picks(spec):
+    """The number of distinct pick sequences that the three solvers claim."""
+    inst = sweeps.build_instance(spec)
+    claims = (
+        dp._optimum(inst, 10**7)[0],
+        oracle._tree(inst, 10**7)[0],
+        oracle._dominated(inst, 10**6)[0],
+    )
+    return len({tuple(picks) for picks in claims})
+
+
+def test_check_spec_decomposes_once_and_executes_each_distinct_strategy_once(monkeypatch):
     calls = {"decompose": 0, "execute": 0}
 
     def counted(name, fn):
@@ -128,15 +212,20 @@ def test_check_spec_decomposes_once_and_executes_three_times(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(policy, "decompose", counted("decompose", policy.decompose))
-    monkeypatch.setattr(engine, "execute", counted("execute", engine.execute))
     specs = _crucial_specs(40)
-    for spec in specs:
+    distinct = [_distinct_picks(spec) for spec in specs]
+    assert set(distinct) == {1, 2}
+    monkeypatch.setattr(policy, "decompose", counted("decompose", policy.decompose))
+    monkeypatch.setattr(engine, "_execute", counted("execute", engine._execute))
+    # The first spec of a size builds its instance in full, and the later
+    # ones derive theirs from it: each decomposes its policy once.
+    sweeps._exhaustive_fields.cache_clear()
+    for spec, expected in zip(specs, distinct):
         before = dict(calls)
         sweeps.check_spec(spec, check_crucial=True)
         assert calls["decompose"] - before["decompose"] == 1, spec
-        assert calls["execute"] - before["execute"] <= 3, spec
-    assert calls["execute"] == 3 * len(specs)
+        assert calls["execute"] - before["execute"] == expected, spec
+    assert calls["execute"] == sum(distinct) < 3 * len(specs)
 
 
 def _expected_record(spec):
@@ -191,13 +280,14 @@ def test_check_spec_reads_the_budget_variable_once_per_budget(monkeypatch):
     assert reads.count(engine.BUDGET_ENV_VAR) == 2
 
 
-def test_check_spec_calls_each_public_oracle_once(monkeypatch):
-    # One choice tree and one dominated walk per spec, with the crucial
-    # check on or off: check_spec asks oracle._dominated for the optimum and
-    # the crucial flag, not the two public oracles that walk once each.
-    # Rebind every seqmanip module's reference to each function, as a
-    # tracer wrapping them from outside would.
-    calls = dict.fromkeys(("choice_tree_best", "_dominated", "dominated_greedy_best", "is_crucial"), 0)
+def test_check_spec_searches_the_choice_tree_and_walks_once(monkeypatch):
+    # One choice-tree search and one dominated walk per spec, with the
+    # crucial check on or off; check_spec runs the solvers' cores on item
+    # indices, and no public solver.  Rebind every seqmanip module's
+    # reference to each function, as a tracer wrapping them from outside
+    # would.
+    names = ("_tree", "_walk", "choice_tree_best", "dominated_greedy_best", "is_crucial")
+    calls = dict.fromkeys(names, 0)
     modules = [module for key, module in sys.modules.items() if module is not None and key.startswith("seqmanip")]
     for name in calls:
         original = getattr(oracle, name)
@@ -216,7 +306,7 @@ def test_check_spec_calls_each_public_oracle_once(monkeypatch):
             record = sweeps.check_spec(spec, check_crucial=check_crucial)
             count += 1
             assert (record.crucial is None) is not check_crucial, spec
-            assert calls == {"choice_tree_best": count, "_dominated": count, "dominated_greedy_best": 0, "is_crucial": 0}
+            assert calls == dict.fromkeys(names, 0) | {"_tree": count, "_walk": count}, spec
 
 
 def test_a_crucial_check_walks_the_dominated_policies_once(walks):
