@@ -21,12 +21,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": "MANIPULATOR Instance InstanceError parse_instance serialize_instance make_instance "
     "generate_random_instance generate_tightness_instance",
-    "policy": "PolicyDecomposition decompose dominates enumerate_dominated",
-    "engine": "AllocationSequence PickingStrategy Bundle bundle_items execute trace_feasible "
-    "strategy_from_sequence is_greedy manipulator_bundle Solution BudgetExceeded",
+    "policy": "PolicyDecomposition decompose enumerate_dominated",
+    "engine": "AllocationSequence PickingStrategy Bundle bundle_items execute manipulator_bundle Solution "
+    "BudgetExceeded",
     "greedy": "greedy_alg",
     "oracle": "choice_tree_best dominated_greedy_best is_crucial",
-    "dp": "DPState DPEntry replay_state best_response_with_table",
+    "dp": "DPState DPEntry best_response_with_table",
     "responses": "truthful_response ApproximationReport approximation_report allocation_response",
     "cli": "",
     "sweeps": "",

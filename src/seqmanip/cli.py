@@ -179,12 +179,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_ratio(args: argparse.Namespace) -> int:
     from .responses import approximation_report
 
+    if (args.tightness is None) == (args.instance is None):
+        raise InstanceError("ratio", "give either an instance file or --tightness K")
     if args.tightness is not None:
         inst = generate_tightness_instance(args.tightness)
-    elif args.instance is not None:
-        inst = _load_instance(args.instance)
     else:
-        raise InstanceError("ratio", "give an instance file or --tightness K")
+        inst = _load_instance(args.instance)
     report = approximation_report(inst)
     _emit(
         {
@@ -209,6 +209,8 @@ def _cmd_achievable(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.tightness is not None:
+        if args.seed is not None:
+            raise InstanceError("gen", "--seed does not apply to --tightness")
         inst = generate_tightness_instance(args.tightness)
         _log(f"generated tightness instance k={args.tightness}")
     else:

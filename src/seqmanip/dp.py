@@ -99,7 +99,6 @@ from typing import NamedTuple
 from . import engine
 from .engine import (
     DEFAULT_STATE_BUDGET,
-    AllocationSequence,
     BudgetExceeded,
     Solution,
     _resolve_budget,
@@ -314,19 +313,6 @@ def _chain_turns(table: DPTable, x: int, index: int) -> list[Agent]:
         x -= 1
     turns.reverse()
     return turns
-
-
-def replay_state(inst: Instance, table: DPTable, state: DPState) -> AllocationSequence:
-    """Reconstruct the stored partial trace realising ``state``, following
-    the entries' predecessors; ``KeyError`` when ``state`` is not stored."""
-    turns: list[Agent] = []
-    entry = table[state]
-    for x in range(state[0], 0, -1):
-        turns.append(table.core[x - 1])
-        turns.extend([MANIPULATOR] * entry.q)
-        entry = table[entry.pred]
-    turns.reverse()
-    return engine._steps(inst, turns, engine._greedy(inst, turns))
 
 
 # What a chain whose picks fail the certificate says.

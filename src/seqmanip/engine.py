@@ -1,22 +1,19 @@
 """Execution engine for sequential allocation.
 
-Runs picking strategies against a policy, computes the greedy trace of a
-turn order, and checks feasibility and greediness of allocation traces.
-
-An allocation sequence is a tuple of ``(item, agent)`` steps.  A sequence
-carries its own turn order, so partial traces produced under policies other
-than the instance's own can still be checked for feasibility and
-greediness; the instance only supplies rankings and utilities.
+Runs picking strategies against a policy and computes the greedy trace of
+a turn order.  An allocation sequence is a tuple of ``(item, agent)``
+steps.
 
 Inside the package a trace is item indices: :func:`_allocate`, the one walk
 over rankings outside the solvers' inner loops, gives the item index each
-turn takes.  Executions (:func:`_execute`), greedy traces (:func:`_greedy`)
-and feasibility checks run it, and :func:`_steps` names a trace's items
-where it leaves the package.  :func:`_certify` is the solvers' one
-self-check.  A solver claims the manipulator's picks, as item indices in
-order, and their integer weight.  The certificate plays those picks, then
-the other items in the manipulator's order, on the instance's own policy,
-and compares the picks executed and their weight with the claim.
+turn takes.  Executions (:func:`_execute`) and greedy traces
+(:func:`_greedy`) run it, and :func:`_steps` names a trace's items where it
+leaves the package.  :func:`_certify` is the solvers' one self-check.  A
+solver claims the manipulator's picks, as item indices in order, and their
+integer weight.  The certificate plays the strategy of those picks
+(:func:`_strategy`: the picks, then the other items in the manipulator's
+order) on the instance's own policy, and compares the picks executed and
+their weight with the claim.
 :func:`_solution` turns a certified claim into the public
 :class:`Solution`, with names and one ``Fraction``.
 
@@ -31,7 +28,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import MANIPULATOR, Agent, Instance, Item, _clip, _IntegerView
+from .model import MANIPULATOR, Agent, Instance, Item, _IntegerView
 
 Step = tuple[Item, Agent]
 AllocationSequence = tuple[Step, ...]
@@ -142,18 +139,23 @@ def _execute(inst: Instance, strategy: Sequence[int]) -> list[int]:
     return _allocate(inst, {**inst.view.prefs, MANIPULATOR: strategy}, inst.policy)
 
 
+def _strategy(inst: Instance, picks: list[int]) -> list[int]:
+    """The strategy of the manipulator's picks, item indices in order: the
+    picks, then the other items in the manipulator's order."""
+    chosen = set(picks)
+    return picks + [i for i in inst.view.prefs[MANIPULATOR] if i not in chosen]
+
+
 def _certify(inst: Instance, picks: list[int], weight: int, what: str) -> tuple[list[int], list[int]]:
     """The strategy of a solver's claim and its execution, once the claim
     holds: the manipulator picks the item indices ``picks``, in order,
     worth the integer ``weight``.
 
-    The strategy is ``picks``, then the other items in the manipulator's
-    order.  Executed on the instance's own policy, the manipulator must
-    pick exactly ``picks``, and their weight must be ``weight``; else the
-    solver that made the claim has a bug: ``RuntimeError("internal error:
-    <what>")``."""
-    chosen = set(picks)
-    strategy = picks + [i for i in inst.view.prefs[MANIPULATOR] if i not in chosen]
+    The strategy is :func:`_strategy`'s.  Executed on the instance's own
+    policy, the manipulator must pick exactly ``picks``, and their weight
+    must be ``weight``; else the solver that made the claim has a bug:
+    ``RuntimeError("internal error: <what>")``."""
+    strategy = _strategy(inst, picks)
     order = _execute(inst, strategy)
     executed = _picks(inst.policy, order)
     if executed != picks or _weight(inst.view, executed) != weight:
@@ -212,48 +214,6 @@ def _picks(turns: Sequence[Agent], order: Sequence[int]) -> list[int]:
     return [i for i, agent in zip(order, turns) if agent == MANIPULATOR]
 
 
-def trace_feasible(inst: Instance, seq: Sequence[Step]) -> bool:
-    """Feasibility of a (partial) trace against its own recorded turn order:
-    known items, no duplicates, agents in 1..n, and every non-manipulator
-    step takes that agent's most preferred remaining item.  Re-run on its
-    turns with the manipulator playing its strategy, it must not change."""
-    view = inst.view
-    steps = tuple((item, agent) for item, agent in seq)
-    picked = {item for item, _ in steps}
-    if len(picked) != len(steps) or not picked.issubset(view.index):
-        return False
-    try:
-        strategy = strategy_from_sequence(inst, steps)
-    except ValueError:  # an agent that is not an int in 1..n
-        return False
-    index = view.index
-    prefs = {**view.prefs, MANIPULATOR: [index[item] for item in strategy]}
-    return _allocate(inst, prefs, [agent for _, agent in steps]) == [index[item] for item, _ in steps]
-
-
-def strategy_from_sequence(inst: Instance, seq: Sequence[Step]) -> PickingStrategy:
-    """One picking strategy associated with a feasible trace: the
-    manipulator's items in allocation order, all other items appended in the
-    manipulator's truthful order.  Raises ``ValueError`` on a step whose
-    agent is not an int in 1..n, or a manipulator item that is unknown or
-    repeated."""
-    n = inst.n_agents
-    index = inst.view.index
-    picked: list[Item] = []
-    picked_set: set[Item] = set()
-    for item, agent in seq:
-        if type(agent) is not int or not 1 <= agent <= n:
-            raise ValueError(f"agent index {_clip(repr(agent))} out of range 1..{n}")
-        if agent == MANIPULATOR:
-            if item in picked_set or item not in index:
-                problem = "repeated" if item in picked_set else "unknown"
-                raise ValueError(f"{problem} item {_clip(repr(item))} in the manipulator's picks")
-            picked.append(item)
-            picked_set.add(item)
-    rest = [item for item in inst.manipulator_ranking if item not in picked_set]
-    return tuple(picked + rest)
-
-
 def _greedy(inst: Instance, turns: Sequence[Agent]) -> list[int]:
     """The item index each turn takes in the greedy trace of the turn order
     ``turns``: a non-manipulator turn takes its agent's top remaining item,
@@ -266,17 +226,3 @@ def _greedy(inst: Instance, turns: Sequence[Agent]) -> list[int]:
             following = turns[t]
         choosers[t] = following
     return _allocate(inst, inst.view.prefs, choosers)
-
-
-def is_greedy(inst: Instance, seq: Sequence[Step]) -> bool:
-    """Is this (partial) trace greedy?
-
-    At every manipulator step the pick must be the most preferred remaining
-    item of the next non-manipulator in the trace's own remaining turns, or
-    the manipulator's own best remaining item when no non-manipulator turn
-    follows.  Raises ``ValueError`` on an infeasible trace.
-    """
-    if not trace_feasible(inst, seq):
-        raise ValueError("greediness is only defined for feasible traces")
-    index = inst.view.index
-    return [index[item] for item, _ in seq] == _greedy(inst, [agent for _, agent in seq])

@@ -9,7 +9,7 @@ the dynamic program.
 
 from __future__ import annotations
 
-from .engine import AllocationSequence, PickingStrategy, _greedy, _steps, strategy_from_sequence
+from .engine import AllocationSequence, PickingStrategy, _greedy, _picks, _steps, _strategy
 from .model import Instance
 
 
@@ -25,5 +25,6 @@ def greedy_alg(inst: Instance) -> tuple[AllocationSequence, PickingStrategy]:
     ['g2', 'g1']
     """
     policy = inst.policy
-    seq = _steps(inst, policy, _greedy(inst, policy))
-    return seq, strategy_from_sequence(inst, seq)
+    order = _greedy(inst, policy)
+    items = inst.items
+    return _steps(inst, policy, order), tuple([items[i] for i in _strategy(inst, _picks(policy, order))])

@@ -11,12 +11,11 @@ the least common multiple of their denominators.  Sums and comparisons of
 weights order exactly as those of the utilities, so the solvers add and
 compare Python ints and turn a result back into a ``Fraction`` once, as
 ``Fraction(total, scale)``.  Next to the view, each instance keeps its
-policy's decomposition (``Instance.decomposition``, see
-:func:`seqmanip.policy.decompose`).  ``Instance.with_policy`` checks only the
-new policy, decomposes it, and shares the view.  It is one use of the one
-derived-copy path, ``Instance._derive``, which can also replace the rankings
-of agents 2..n: it checks only the new fields, with the constructor's checks
-(:func:`_check_policy`, :func:`_check_rankings`), and shares the rest.
+policy's core, manipulator positions and k(x) (``Instance.decomposition``,
+see :func:`seqmanip.policy.decompose`).  The one derived-copy path,
+``Instance._derive`` (``with_policy`` is one use), replaces the policy and
+optionally the rankings of agents 2..n: it checks only the new fields, with
+the constructor's checks, and shares the rest of the view.
 """
 
 from __future__ import annotations

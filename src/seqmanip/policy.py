@@ -1,8 +1,8 @@
 """Structural algebra on policies.
 
 A policy is the turn sequence of agents, one turn per item.  This module
-splits policies into segments, extracts cores and manipulator position
-vectors, tests domination and enumerates dominated policies.
+extracts a policy's core, manipulator position vector and per-segment
+manipulator counts, and enumerates the policies it dominates.
 """
 
 from __future__ import annotations
@@ -17,23 +17,21 @@ Policy = tuple[Agent, ...]
 class PolicyDecomposition(NamedTuple):
     """Segment structure of a policy.
 
-    ``segments`` cuts the policy after every non-manipulator turn; each
-    non-trivial segment therefore holds zero or more manipulator turns
-    followed by exactly one non-manipulator.  The final entry is the trivial
-    segment: trailing manipulator turns only, possibly empty.  ``core`` is
-    the policy with manipulator turns deleted, ``position_vector`` the
-    1-based manipulator positions, and ``k_prefix[x]`` the number of
-    manipulator turns within the first ``x`` segments.
+    A segment is zero or more manipulator turns followed by one
+    non-manipulator turn; trailing manipulator turns follow the last
+    segment.  ``core`` is the policy with manipulator turns deleted (the
+    segments' agents), ``position_vector`` the 1-based manipulator
+    positions, and ``k_prefix[x]`` the number of manipulator turns within
+    the first ``x`` segments.
 
-    >>> decompose((1, 3, 2, 2, 1)).segments
-    ((1, 3), (2,), (2,), (1,))
     >>> decompose((1, 3, 2, 2, 1)).core
     (3, 2, 2)
     >>> decompose((1, 3, 2, 2, 1)).position_vector
     (1, 5)
+    >>> decompose((1, 3, 2, 2, 1)).k_prefix
+    (0, 1, 1, 1)
     """
 
-    segments: tuple[tuple[Agent, ...], ...]
     core: tuple[Agent, ...]
     position_vector: tuple[int, ...]
     k_prefix: tuple[int, ...]
@@ -44,59 +42,24 @@ class PolicyDecomposition(NamedTuple):
 
 
 def decompose(policy: Sequence[Agent]) -> PolicyDecomposition:
-    """Split ``policy`` into segments and derive core, positions and k(x)."""
-    segments: list[tuple[Agent, ...]] = []
-    # Equal segments share one tuple: a long policy has few segment shapes,
-    # and every instance keeps its policy's decomposition.
-    shapes: dict[tuple[Agent, ...], tuple[Agent, ...]] = {}
+    """Derive the core, the manipulator positions and k(x) of ``policy``."""
     core: list[Agent] = []
     positions: list[int] = []
     k_prefix = [0]
-    start = 0
     for pos, agent in enumerate(policy):
         if agent == MANIPULATOR:
             positions.append(pos + 1)
         else:
             core.append(agent)
-            segment = tuple(policy[start : pos + 1])
-            segments.append(shapes.setdefault(segment, segment))
             k_prefix.append(len(positions))
-            start = pos + 1
-    segments.append(tuple(policy[start:]))
-    return PolicyDecomposition(tuple(segments), tuple(core), tuple(positions), tuple(k_prefix))
-
-
-def dominates(p1: Sequence[Agent], p2: Sequence[Agent]) -> bool:
-    """True iff both policies share length and core and every manipulator
-    turn in ``p1`` is no later than the matching turn in ``p2``.
-
-    Policies with different cores are simply unrelated (never an error).
-
-    >>> dominates((1, 3, 2, 2, 1), (3, 2, 1, 2, 1))
-    True
-    >>> dominates((2, 1), (1, 2))
-    False
-    """
-    d1, d2 = decompose(p1), decompose(p2)
-    if len(p1) != len(p2) or d1.core != d2.core:
-        return False
-    return all(z1 <= z2 for z1, z2 in zip(d1.position_vector, d2.position_vector))
-
-
-def policy_from_positions(core: Sequence[Agent], positions: Sequence[int], length: int) -> Policy:
-    """Rebuild a policy from its core and manipulator position vector."""
-    if len(core) + len(positions) != length:
-        raise ValueError(f"{len(core)} core turns and {len(positions)} positions do not make {length} turns")
-    out = list(core)
-    # In increasing order, each position already counts the turns inserted before it.
-    for pos in sorted(positions):
-        out.insert(pos - 1, MANIPULATOR)
-    return tuple(out)
+    return PolicyDecomposition(tuple(core), tuple(positions), tuple(k_prefix))
 
 
 def enumerate_dominated(policy: Sequence[Agent]) -> Iterator[Policy]:
     """Yield every policy dominated by ``policy`` (itself included) lazily,
-    in lexicographic order of manipulator position vectors.
+    in lexicographic order of manipulator position vectors.  A policy
+    dominates another of its length and core when each of its manipulator
+    turns comes no later than the matching turn of the other.
 
     >>> list(enumerate_dominated((1, 2)))
     [(1, 2), (2, 1)]
@@ -110,7 +73,11 @@ def enumerate_dominated(policy: Sequence[Agent]) -> Iterator[Policy]:
     # room after p[i] for the k - 1 - i later turns; it starts at z itself.
     positions = list(z)
     while True:
-        yield policy_from_positions(core, positions, m)
+        out = list(core)
+        # In increasing order, each position already counts the turns inserted before it.
+        for pos in positions:
+            out.insert(pos - 1, MANIPULATOR)
+        yield tuple(out)
         i = k - 1
         while i >= 0 and positions[i] == m - (k - 1 - i):
             i -= 1

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dp import best_response_with_table
 from .engine import Solution, execute, manipulator_bundle
-from .model import MANIPULATOR, Instance, Item, make_instance
+from .model import MANIPULATOR, Instance, InstanceError, Item, _clip, make_instance
 
 
 def truthful_response(inst: Instance) -> Solution:
@@ -18,8 +17,7 @@ def truthful_response(inst: Instance) -> Solution:
     return Solution(strategy, seq, manipulator_bundle(inst, seq))
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
+class ApproximationReport(NamedTuple):
     truthful: Fraction
     optimal: Fraction
     ratio: Fraction
@@ -47,16 +45,21 @@ def allocation_response(inst: Instance, target: Iterable[Item]) -> bool:
     target is achievable (relative order within each group follows the
     original ranking, so the reweighted instance stays valid).  Since bundles
     have exactly as many items as the manipulator has turns, requiring
-    ``len(target)`` to equal that count makes containment equality.
+    ``len(target)`` to equal that count makes containment equality.  A
+    repeated or unknown target item, or a target of the wrong size, raises
+    :class:`InstanceError` at path ``target``.
     """
-    target = frozenset(target)
+    chosen: set[Item] = set()
+    for item in target:
+        if item in chosen:
+            raise InstanceError("target", f"repeated item {_clip(repr(item))}")
+        chosen.add(item)
+    target = frozenset(chosen)
     unknown = target - set(inst.items)
     if unknown:
-        raise ValueError(f"target items not in the instance: {sorted(unknown)}")
+        raise InstanceError("target", f"items not in the instance: {_clip(str(sorted(unknown)))}")
     if len(target) != inst.k1:
-        raise ValueError(
-            f"target size {len(target)} must equal the manipulator's turn count {inst.k1}"
-        )
+        raise InstanceError("target", f"size {len(target)} must equal the manipulator's turn count {inst.k1}")
     if inst.k1 == 0:
         return True
     m = inst.m

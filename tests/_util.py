@@ -10,7 +10,7 @@ from fractions import Fraction
 import seqmanip as sm
 from seqmanip.engine import DEFAULT_STATE_BUDGET, _resolve_budget
 from seqmanip.oracle import _reachable
-from paper_lemmas import considered_before, move_manipulator_turn
+from paper_lemmas import considered_before, move_manipulator_turn, trace_feasible_stepwise, witness_strategy
 
 EXAMPLE1_UTILITIES = {"a": 5, "b": 4, "c": 3, "d": 2, "e": 1}
 
@@ -114,13 +114,6 @@ def manipulator_utility(inst: sm.Instance, seq) -> object:
     return sm.manipulator_bundle(inst, seq).total_utility
 
 
-def pick_order_strategy(inst: sm.Instance, dominated_trace) -> tuple[str, ...]:
-    """Items the manipulator received, in pick order, then the rest truthfully."""
-    picked = [item for item, agent in dominated_trace if agent == sm.MANIPULATOR]
-    rest = [item for item in inst.manipulator_ranking if item not in set(picked)]
-    return tuple(picked + rest)
-
-
 def check_truthful_monotonicity(inst: sm.Instance, limit: int = 64) -> int:
     """Truthful play never improves under a dominated (later-turn) policy."""
     baseline = manipulator_utility(inst, sm.execute(inst, inst.manipulator_ranking))
@@ -145,7 +138,7 @@ def check_dominance_construction(inst: sm.Instance, strategy, rng: random.Random
     pol = rng.choice(dominated)
     other = inst.with_policy(pol)
     trace_other = sm.execute(other, strategy)
-    replay = sm.execute(inst, pick_order_strategy(inst, trace_other))
+    replay = sm.execute(inst, witness_strategy(inst, trace_other))
     assert sm.bundle_items(replay, sm.MANIPULATOR) == sm.bundle_items(trace_other, sm.MANIPULATOR)
     return pol != inst.policy
 
@@ -179,7 +172,7 @@ def check_move_preservation(inst: sm.Instance, strategy) -> int:
             moved_inst = inst.with_policy(moved_policy)
             spliced = trace[: i - 1] + trace[i:p] + (trace[i - 1],) + trace[p:]
             assert tuple(a for _, a in spliced) == moved_policy
-            assert sm.trace_feasible(moved_inst, spliced)
+            assert trace_feasible_stepwise(moved_inst, spliced)
             assert sm.bundle_items(spliced, sm.MANIPULATOR) == base_bundle
             if all(inst.policy[t - 1] != sm.MANIPULATOR for t in range(i + 1, p + 1)):
                 rerun = sm.execute(moved_inst, strategy)

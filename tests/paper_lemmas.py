@@ -1,10 +1,13 @@
 """The paper's trace definitions and lemma operations, for the tests.
 
 No solver and no command needs these; the tests use them to check the
-paper's definitions and lemmas on small instances: feasibility step by
-step and with a witness strategy, the considered-by test, the invariance
-relation between partial traces, prefix splicing, and moving a
-manipulator turn later.
+paper's definitions and lemmas on small instances.  Feasibility, greediness
+and domination are each written once, step by step from the definition and
+independent of the package's code: :func:`trace_feasible_stepwise`,
+:func:`is_greedy_stepwise` and :func:`dominates`.  The rest are lemma
+operations: feasibility with its witness strategy, the replay of a stored DP
+state, the considered-by test, the invariance relation between partial
+traces, prefix splicing, and moving a manipulator turn later.
 """
 
 from __future__ import annotations
@@ -12,32 +15,85 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from seqmanip.engine import AllocationSequence, PickingStrategy, Step, strategy_from_sequence, trace_feasible
+from seqmanip import engine
+from seqmanip.dp import DPState, DPTable
+from seqmanip.engine import AllocationSequence, PickingStrategy, Step
 from seqmanip.model import MANIPULATOR, Agent, Instance, Item
 from seqmanip.policy import Policy
 
 
+def _top(pref: Sequence[int], taken: bytearray) -> int:
+    """The first item index of ``pref`` not yet taken, scanned from the top."""
+    j = 0
+    while taken[pref[j]]:
+        j += 1
+    return pref[j]
+
+
 def trace_feasible_stepwise(inst: Instance, seq: Sequence[Step]) -> bool:
-    """Reference for :func:`seqmanip.engine.trace_feasible`: the definition
-    checked one step at a time.  Each item must be known and not yet taken,
-    each agent in 1..n, and each non-manipulator step must take the agent's
-    top remaining item, found by scanning its ranking from the top.  So
-    the walk is quadratic in the trace's length."""
+    """Is the (partial) trace feasible against its own turn order?  The
+    definition checked one step at a time: each item must be known and not
+    yet taken, each agent an int in 1..n, and each non-manipulator step must
+    take the agent's top remaining item.  Quadratic in the trace's length."""
     view = inst.view
     taken = bytearray(inst.m)
     for item, agent in seq:
         i = view.index.get(item)
-        if i is None or taken[i] or agent not in view.prefs:
+        if i is None or taken[i] or type(agent) is not int or agent not in view.prefs:
             return False
-        if agent != MANIPULATOR:
-            pref = view.prefs[agent]
-            j = 0
-            while taken[pref[j]]:
-                j += 1
-            if pref[j] != i:
+        if agent != MANIPULATOR and _top(view.prefs[agent], taken) != i:
+            return False
+        taken[i] = 1
+    return True
+
+
+def is_greedy_stepwise(inst: Instance, seq: Sequence[Step]) -> bool:
+    """Is the feasible (partial) trace greedy?  At each manipulator step the
+    pick must be the top remaining item of the next non-manipulator in the
+    trace's own remaining turns, or the manipulator's own top remaining item
+    once no non-manipulator follows.  Raises ``ValueError`` on an infeasible
+    trace."""
+    if not trace_feasible_stepwise(inst, seq):
+        raise ValueError("greediness is only defined for feasible traces")
+    view = inst.view
+    taken = bytearray(inst.m)
+    for t, (item, agent) in enumerate(seq):
+        i = view.index[item]
+        if agent == MANIPULATOR:
+            chooser = next((a for _, a in seq[t:] if a != MANIPULATOR), MANIPULATOR)
+            if _top(view.prefs[chooser], taken) != i:
                 return False
         taken[i] = 1
     return True
+
+
+def dominates(p1: Sequence[Agent], p2: Sequence[Agent]) -> bool:
+    """Does policy ``p1`` dominate ``p2``?  Both have the same length and the
+    same core (the non-manipulator turns in order), and the i-th
+    manipulator turn of ``p1`` comes no later than the i-th of ``p2``.
+    Policies with different cores are unrelated, never an error."""
+    if len(p1) != len(p2):
+        return False
+    if [a for a in p1 if a != MANIPULATOR] != [a for a in p2 if a != MANIPULATOR]:
+        return False
+    z1 = [pos for pos, a in enumerate(p1) if a == MANIPULATOR]
+    z2 = [pos for pos, a in enumerate(p2) if a == MANIPULATOR]
+    return all(a <= b for a, b in zip(z1, z2))
+
+
+def replay_state(inst: Instance, table: DPTable, state: DPState) -> AllocationSequence:
+    """The stored partial trace realising ``state``: the greedy trace of its
+    chain's turns, per entry q manipulator turns and then the stage agent's,
+    found by following the entries' predecessors; ``KeyError`` when
+    ``state`` is not stored."""
+    turns: list[Agent] = []
+    entry = table[state]
+    for x in range(state.x, 0, -1):
+        turns.append(table.core[x - 1])
+        turns.extend([MANIPULATOR] * entry.q)
+        entry = table[entry.pred]
+    turns.reverse()
+    return engine._steps(inst, turns, engine._greedy(inst, turns))
 
 
 def check_feasible(
@@ -56,11 +112,18 @@ def check_feasible(
             raise ValueError(
                 f"step {pos}: agent {agent} does not match policy turn {inst.policy[pos]}"
             )
-    if not trace_feasible(inst, seq):
+    if not trace_feasible_stepwise(inst, seq):
         return False, None
     if len(seq) == inst.m:
-        return True, strategy_from_sequence(inst, seq)
+        return True, witness_strategy(inst, seq)
     return True, None
+
+
+def witness_strategy(inst: Instance, seq: Sequence[Step]) -> PickingStrategy:
+    """The picking strategy associated with a trace: the manipulator's
+    items in pick order, then the rest in its own order."""
+    picked = [item for item, agent in seq if agent == MANIPULATOR]
+    return tuple(picked + [item for item in inst.manipulator_ranking if item not in picked])
 
 
 def considered_before(
@@ -123,12 +186,12 @@ def splice(
     """
     if len(replacement) != i:
         raise ValueError(f"replacement length {len(replacement)} != prefix length {i}")
-    if len(seq) != inst.m or not trace_feasible(inst, seq):
+    if len(seq) != inst.m or not trace_feasible_stepwise(inst, seq):
         raise ValueError("base trace must be complete and feasible")
     if not invariance_related(tuple(seq[:i]), tuple(replacement)):
         raise ValueError("replacement prefix is not invariance-related to the original")
     result = tuple(replacement) + tuple(seq[i:])
-    if not trace_feasible(inst, result):
+    if not trace_feasible_stepwise(inst, result):
         raise RuntimeError("internal error: exchange splice produced an infeasible trace")
     return result
 

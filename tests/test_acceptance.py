@@ -27,6 +27,7 @@ import pytest
 
 import seqmanip as sm
 from seqmanip import sweeps
+from paper_lemmas import dominates
 from _util import (
     check_dominance_construction,
     check_move_preservation,
@@ -95,7 +96,7 @@ def test_criterion_02_golden_delayed_policy():
     ok = (
         sm.bundle_items(trace, 1) == {"a", "b"}
         and sm.is_crucial(delayed)
-        and sm.dominates(inst.policy, delayed.policy)
+        and dominates(inst.policy, delayed.policy)
     )
     _report(2, ok, "greedy on 32121 yields {a,b}; 32121 crucial; 13221 dominates 32121")
 

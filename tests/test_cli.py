@@ -294,6 +294,24 @@ def test_gen_tightness(capsys):
     assert sm.parse_instance(out) == sm.generate_tightness_instance(5)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ratio", "{ex1}", "--tightness", "10"], "ratio: give either an instance file or --tightness K"),
+        (["gen", "--tightness", "5", "--seed", "3"], "gen: --seed does not apply to --tightness"),
+        (["achievable", "{tight}", "--target", "g1,g1,g2"], "target: repeated item 'g1'"),
+        (["achievable", "{ex1}", "--target", "a,zz"], "target: items not in the instance: ['zz']"),
+        (["achievable", "{ex1}", "--target", "a"], "target: size 1 must equal the manipulator's turn count 2"),
+    ],
+    ids=["ratio-file-and-tightness", "gen-tightness-and-seed", "repeated-target", "unknown-target", "short-target"],
+)
+def test_conflicting_or_bad_arguments_exit_1_with_one_line(capsys, tmp_path, ex1_path, argv, message):
+    tight = tmp_path / "tight.json"  # the tightness instance has two manipulator turns
+    tight.write_text(sm.serialize_instance(sm.generate_tightness_instance(4)), encoding="utf-8")
+    code, out, err = run_cli(capsys, *[arg.format(ex1=ex1_path, tight=tight) for arg in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_gen_to_file(capsys, tmp_path):
     target = tmp_path / "instance.json"
     code, out, _err = run_cli(capsys, "gen", "--seed", "3", "-o", str(target))

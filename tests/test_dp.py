@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
@@ -8,9 +9,9 @@ import pytest
 
 import seqmanip as sm
 from seqmanip import dp, sweeps
-from seqmanip.dp import DPState, best_response_with_table, replay_state
+from seqmanip.dp import DPState, best_response_with_table
 from seqmanip.policy import decompose
-from paper_lemmas import invariance_related
+from paper_lemmas import dominates, invariance_related, is_greedy_stepwise, replay_state, trace_feasible_stepwise
 from _reference_dp import reference_build
 from _util import mixed_denominator_instance, random_instances, round_robin_instance
 
@@ -95,8 +96,8 @@ def test_table_invariants_on_random_instances():
             assert 0 <= state.y <= dec.k_prefix[state.x] if state.x else state.y == 0
             trace = replay_state(inst, table, state)
             assert len(trace) == state.x + state.y
-            assert sm.trace_feasible(inst, trace)
-            assert sm.is_greedy(inst, trace)
+            assert trace_feasible_stepwise(inst, trace)
+            assert is_greedy_stepwise(inst, trace)
             if trace:
                 assert trace[-1][1] != sm.MANIPULATOR
             # per-prefix manipulator counts stay within the original policy's
@@ -120,8 +121,32 @@ def test_solution_trace_policy_is_dominated():
     for inst, seed in random_instances(150, seed=43, max_items=8):
         solution = sm.best_response_with_table(inst)[0]
         recovered = tuple(agent for _, agent in solution.sequence)
-        assert sm.dominates(inst.policy, recovered), f"seed={seed}"
-        assert sm.is_greedy(inst, solution.sequence)
+        assert dominates(inst.policy, recovered), f"seed={seed}"
+        assert is_greedy_stepwise(inst, solution.sequence)
+
+
+def test_metamorphic_relations_hold_past_the_oracles_reach():
+    # Scaling every utility by c scales the optimum by c; renaming the
+    # items, permuting the labels 2..n and adding an idle agent n + 1 (a
+    # ranking, no turn) leave it unchanged.
+    rng = random.Random(97)
+
+    def optimum(items, n, policy, rankings, utility):
+        return best_response_with_table(sm.make_instance(items, n, policy, rankings, utility))[0].utility
+
+    for inst, seed in random_instances(60, seed=97, max_items=40):
+        n, items, policy, rankings, utility = inst.n_agents, inst.items, inst.policy, inst.rankings, inst.utility
+        best = best_response_with_table(inst)[0].utility
+        c = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        assert optimum(items, n, policy, rankings, {i: u * c for i, u in utility.items()}) == best * c, f"seed={seed}"
+        name = dict(zip(items, (f"r{k}" for k in rng.sample(range(1000), inst.m))))
+        renamed = {a: [name[i] for i in r] for a, r in rankings.items()}
+        assert optimum(name.values(), n, policy, renamed, {name[i]: u for i, u in utility.items()}) == best, f"seed={seed}"
+        label = {1: 1, **dict(zip(range(2, n + 1), rng.sample(range(2, n + 1), n - 1)))}
+        relabelled = {label[a]: r for a, r in rankings.items()}
+        assert optimum(items, n, [label[a] for a in policy], relabelled, utility) == best, f"seed={seed}"
+        idle = {**rankings, n + 1: rng.sample(items, inst.m)}
+        assert optimum(items, n + 1, policy, idle, utility) == best, f"seed={seed}"
 
 
 def _check_every_transition(inst) -> int:

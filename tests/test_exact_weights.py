@@ -18,6 +18,7 @@ import seqmanip as sm
 from seqmanip import dp
 from seqmanip.oracle import choice_tree_best
 from _util import crucial_by_choice_tree, mixed_denominator_instance
+from paper_lemmas import replay_state
 
 MIXED_POOL = [(n, m, seed) for n in (2, 3) for m in range(1, 8) for seed in range(12)]
 
@@ -57,7 +58,7 @@ def test_mixed_denominators_three_way_agreement(n, m, seed):
         assert type(result.bundle.total_utility) is Fraction
     for state, entry in table.items():
         assert type(entry.utility) is Fraction
-        trace = sm.replay_state(inst, table, state)
+        trace = replay_state(inst, table, state)
         assert entry.utility == sum(
             (inst.utility[item] for item, agent in trace if agent == sm.MANIPULATOR), Fraction(0)
         )

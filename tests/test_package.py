@@ -22,23 +22,20 @@ HOME = {
         "generate_random_instance",
         "generate_tightness_instance",
     ],
-    "policy": ["PolicyDecomposition", "decompose", "dominates", "enumerate_dominated"],
+    "policy": ["PolicyDecomposition", "decompose", "enumerate_dominated"],
     "engine": [
         "AllocationSequence",
         "PickingStrategy",
         "Bundle",
         "bundle_items",
         "execute",
-        "trace_feasible",
-        "strategy_from_sequence",
-        "is_greedy",
         "manipulator_bundle",
         "Solution",
         "BudgetExceeded",
     ],
     "greedy": ["greedy_alg"],
     "oracle": ["choice_tree_best", "dominated_greedy_best", "is_crucial"],
-    "dp": ["DPState", "DPEntry", "replay_state", "best_response_with_table"],
+    "dp": ["DPState", "DPEntry", "best_response_with_table"],
     "responses": [
         "truthful_response",
         "ApproximationReport",
@@ -72,7 +69,7 @@ def test_namespace_lists_and_imports_on_demand():
 def test_records_keep_their_fields():
     assert sm.Solution._fields == ("strategy", "sequence", "bundle")
     assert sm.Bundle._fields == ("items", "total_utility")
-    assert sm.PolicyDecomposition._fields == ("segments", "core", "position_vector", "k_prefix")
+    assert sm.PolicyDecomposition._fields == ("core", "position_vector", "k_prefix")
     dec = sm.decompose((1, 3, 2, 2, 1))
     assert dec.m_prime == 3
     solution = sm.truthful_response(sm.generate_tightness_instance(4))
@@ -124,3 +121,8 @@ def test_solve_loads_only_the_dynamic_program(tmp_path):
     assert loaded.isdisjoint(SOLVE_PATH_ONLY), sorted(loaded.intersection(SOLVE_PATH_ONLY))
     assert {"seqmanip.cli", "seqmanip.dp"} <= loaded
     assert "seqmanip.oracle" in modules_after("solve", str(path), "--check")
+    # The responses' commands load no dataclass machinery either.
+    for argv in (["truthful", str(path)], ["ratio", str(path)], ["ratio", "--tightness", "5"]):
+        loaded = modules_after(*argv)
+        assert loaded.isdisjoint(["dataclasses", "inspect", "ast", "tokenize"]), argv
+        assert "seqmanip.responses" in loaded and loaded.isdisjoint(["seqmanip.oracle", "seqmanip.sweeps"]), argv

@@ -88,6 +88,8 @@ def test_allocation_response_argument_errors(ex1):
         sm.allocation_response(ex1, {"a"})
     with pytest.raises(ValueError):
         sm.allocation_response(ex1, {"a", "zz"})
+    with pytest.raises(ValueError, match="repeated item 'a'"):
+        sm.allocation_response(ex1, ["a", "a"])
 
 
 def test_allocation_response_empty_target():
