@@ -14,14 +14,12 @@ loads neither the oracles nor the sweeps.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .dp import best_response_with_table
+from .dp import DPState, DPTable, best_response_with_table
 from .engine import BudgetExceeded, Solution, _positive_int, manipulator_bundle
 from .model import (
     Instance,
@@ -46,28 +44,32 @@ def _emit(payload: object) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-# ``solve --dump-table`` writes this many rows at a time.
-_ROWS_PER_WRITE = 1024
+def _state_text(state: DPState) -> str:
+    """``json.dumps`` of a state as a table row's ``state`` or ``pred`` value."""
+    ranks = ",".join(f"\n          {rank}" for rank in state.last_rank)
+    ranks = f"[{ranks}\n        ]" if ranks else "[]"
+    return f'{{\n        "last_rank": {ranks},\n        "x": {state.x},\n        "y": {state.y}\n      }}'
 
 
-def _emit_table(payload: dict, rows: Iterable[dict]) -> None:
-    """``_emit({**payload, "table": list(rows)})`` for non-empty ``rows``,
-    written ``_ROWS_PER_WRITE`` rows at a time, so that neither every row
-    nor the whole text is held at once.  The rows go where a NaN put in
-    their place is printed: no other value in a payload is a float, and no
-    string's text holds a raw newline, so "NaN\\n" occurs there only."""
-    head, tail = json.dumps({**payload, "table": [math.nan]}, indent=2, sort_keys=True).split("NaN\n")
-    cut = head.rindex("\n")
-    head, newline = head[:cut], head[cut:]  # ``newline``: a newline and the rows' indent
-    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+def _emit_table(payload: dict, inst: Instance, table: DPTable) -> None:
+    """``_emit({**payload, "table": rows})``, one row per stored state in
+    state order, written a stage at a time (stages come in x order).  Each
+    state's text is formatted once, and is the next stage's ``pred`` text."""
+    head, tail = json.dumps({**payload, "table": []}, indent=2, sort_keys=True).split('"table": []')
     write = sys.stdout.write
-    rows = iter(rows)
-    separator = head
-    while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
-        # Each row of an encoded list starts with a newline and two spaces.
-        write(separator + encode(batch)[1:-2].replace("\n  ", newline))
-        separator = ","
-    write(f"\n{tail}\n")
+    scale, bits, low = inst.view.scale, table.bits, table.low
+    separator = f'{head}"table": [\n    '
+    texts = ["null"]  # the base state's code is 0: index 0 is its pred
+    for states, weights, packed in table._stages():
+        previous, texts = texts, [_state_text(state) for state in states]
+        rows = [
+            f'{{\n      "pred": {previous[packed[i] >> bits]},\n      "q": {packed[i] & low},\n'
+            f'      "state": {texts[i]},\n      "utility": "{Fraction(weights[i], scale)}"\n    }}'
+            for i in sorted(range(len(states)), key=states.__getitem__)
+        ]
+        write(separator + ",\n    ".join(rows))
+        separator = ",\n    "
+    write(f"\n  ]{tail}\n")
 
 
 def _load_instance(path: str) -> Instance:
@@ -128,18 +130,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if not args.dump_table:
         _emit(payload)
         return exit_code
-    rows = (
-        {
-            "state": {"x": state.x, "y": state.y, "last_rank": list(state.last_rank)},
-            "utility": str(entry.utility),
-            "pred": None
-            if entry.pred is None
-            else {"x": entry.pred.x, "y": entry.pred.y, "last_rank": list(entry.pred.last_rank)},
-            "q": entry.q,
-        }
-        for state, entry in sorted(table.items())
-    )
-    _emit_table(payload, rows)
+    _emit_table(payload, inst, table)
     return exit_code
 
 
@@ -209,15 +200,18 @@ def _cmd_achievable(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.tightness is not None:
-        if args.seed is not None:
-            raise InstanceError("gen", "--seed does not apply to --tightness")
+        for option in ("agents", "items", "seed"):
+            if getattr(args, option) is not None:
+                raise InstanceError("gen", f"--{option} does not apply to --tightness")
         inst = generate_tightness_instance(args.tightness)
         _log(f"generated tightness instance k={args.tightness}")
     else:
         if args.seed is None:
             raise InstanceError("gen", "--seed is required for random generation")
-        inst = generate_random_instance(args.agents, args.items, args.seed)
-        _log(f"generated random instance agents={args.agents} items={args.items} seed={args.seed}")
+        agents = 3 if args.agents is None else args.agents
+        items = 6 if args.items is None else args.items
+        inst = generate_random_instance(agents, items, args.seed)
+        _log(f"generated random instance agents={agents} items={items} seed={args.seed}")
     text = serialize_instance(inst)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -372,8 +366,8 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 
     p = command("gen", "generate an instance document", _cmd_gen)
     if p:
-        p.add_argument("--agents", type=int, default=3)
-        p.add_argument("--items", type=int, default=6)
+        p.add_argument("--agents", type=int, default=None)
+        p.add_argument("--items", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tightness", type=int, default=None, metavar="K")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")

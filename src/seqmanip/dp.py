@@ -20,10 +20,11 @@ per state (``bits = m.bit_length()``; q is at most m), about 9 bytes per
 stored state, and the previous stage's lists are dropped.  The last
 stage keeps only its best total and that state's index: the highest
 total, then the smallest key.  A solve replays its chain from these
-arrays alone.  The returned :class:`DPTable` decodes a :class:`DPState`,
-its :class:`DPEntry` and the ``Fraction`` utility only when the mapping is
-first read: it runs the build again, keeping each stage's keys and
-weights, and checks that the rebuild packs the same arrays.
+arrays alone.  ``DPTable._stages`` runs the build again, keeping each
+stage's keys and weights, checks that the rebuild packs the same arrays,
+and decodes each stage's states in stored order.  The mapping decodes its
+entries and ``Fraction`` utilities from it when first read, and ``solve
+--dump-table`` its rows, a stage at a time.
 
 A state's allocated items are exactly the items that the agents 2..n rank
 above their last picks: each agent took its top remaining item, and each
@@ -128,8 +129,8 @@ class DPTable(Mapping[DPState, DPEntry]):
     each last rank in a field ``bits = m.bit_length()`` wide, at
     ``shifts[agent]``.  Every field is at most m, so keys order as their
     states do, and ``low`` masks one field or a q.  ``core`` is the
-    policy's stage agents, for replays.  The first mapping read rebuilds
-    the stages' keys and weights (see the module docstring)."""
+    policy's stage agents, for replays.  :meth:`_stages` decodes the
+    stages from a rebuild (see the module docstring)."""
 
     def __init__(self, inst: Instance, budget: int):
         n = inst.n_agents
@@ -143,24 +144,28 @@ class DPTable(Mapping[DPState, DPEntry]):
         self._budget = budget
         self._entries: dict[DPState, DPEntry] | None = None
 
+    def _stages(self) -> Iterator[tuple[list[DPState], list[int], array]]:
+        """Each stage's states, integer weights and packed codes, in stored
+        order, from a second build that keeps the stages' keys and weights."""
+        rebuilt, _best, _best_index, (stage_keys, stage_weights, _totals) = _build(self._inst, self._budget, True)
+        if rebuilt.packed != self.packed:
+            raise RuntimeError("internal error: the dynamic program's rebuild stored a different table")
+        y_shift, shifts, low = self.y_shift, self.shifts.values(), self.low
+        for x, (keys, weights, packed) in enumerate(zip(stage_keys, stage_weights, self.packed)):
+            states = [DPState(x, key >> y_shift, tuple([(key >> s) & low for s in shifts])) for key in keys]
+            yield states, weights, packed
+
     def _view(self) -> dict[DPState, DPEntry]:
-        """Every stored state's entry, in stored order; on the first call,
-        from a second build that keeps each stage's keys and weights."""
+        """Every stored state's entry, in stored order, decoded on the first call."""
         if self._entries is None:
-            rebuilt, _best, _best_index, (stage_keys, stage_weights, _totals) = _build(self._inst, self._budget, True)
-            if rebuilt.packed != self.packed:
-                raise RuntimeError("internal error: the dynamic program's rebuild stored a different table")
             scale, bits, low = self._inst.view.scale, self.bits, self.low
             entries: dict[DPState, DPEntry] = {}
-            states: list[DPState] = []
-            for x, (keys, weights, packed) in enumerate(zip(stage_keys, stage_weights, self.packed)):
-                previous = states
-                states = [
-                    DPState(x, key >> self.y_shift, tuple([(key >> s) & low for s in self.shifts.values()]))
-                    for key in keys
-                ]
+            # the base state's code is 0: index 0 of this list is its pred
+            previous: list[DPState | None] = [None]
+            for states, weights, packed in self._stages():
                 for state, weight, code in zip(states, weights, packed):
-                    entries[state] = DPEntry(Fraction(weight, scale), previous[code >> bits] if x else None, code & low)
+                    entries[state] = DPEntry(Fraction(weight, scale), previous[code >> bits], code & low)
+                previous = states
             self._entries = entries
         return self._entries
 

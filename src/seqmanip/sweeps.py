@@ -220,15 +220,25 @@ class SweepSummary:
 def _starmap(fn: Callable, arg_tuples: Iterable[tuple], workers: int, chunk_size: int) -> Iterator:
     """``itertools.starmap`` in input order, over a process pool in chunks of
     ``chunk_size`` when ``workers > 1``.  The serial path starts no pool,
-    does not import one, and pulls its arguments lazily."""
+    does not import one, and pulls its arguments lazily.  The pool path
+    keeps at most ``2 * workers + 1`` chunks submitted and not yet yielded,
+    so it pulls its arguments only that far ahead."""
     if workers <= 1:
         yield from itertools.starmap(fn, arg_tuples)
         return
+    from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
+    args = iter(arg_tuples)
+    window = deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Executor.map takes one iterable per parameter: transpose the tuples.
-        yield from pool.map(fn, *zip(*arg_tuples), chunksize=chunk_size)
+        while chunk := list(itertools.islice(args, chunk_size)):
+            # Executor.map submits the chunk now; it takes one iterable per parameter.
+            window.append(pool.map(fn, *zip(*chunk), chunksize=chunk_size))
+            if len(window) > 2 * workers:
+                yield from window.popleft()
+        while window:
+            yield from window.popleft()
 
 
 def sweep(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,9 +7,9 @@ import sys
 import pytest
 
 import seqmanip as sm
-from seqmanip import cli, engine
+from seqmanip import cli, dp, engine
 from seqmanip.cli import main
-from _util import example1_document
+from _util import example1_document, mixed_denominator_instance
 
 
 @pytest.fixture
@@ -53,13 +54,64 @@ def test_solve_dump_table(capsys, ex1_path):
     assert len(base) == 1 and base[0]["utility"] == "0"
 
 
-@pytest.mark.parametrize("rows_per_write", [1, 2, 1024])
-def test_dump_table_batches_print_the_text_of_one_dump(capsys, monkeypatch, rows_per_write):
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
-    payload = {"bundle": ["NaN", "x\nNaN\n"], "dp_states": 5, "utility": "NaN"}
-    rows = [{"pred": None, "q": q, "state": {"last_rank": [q] * (q % 3), "x": q, "y": 0}} for q in range(5)]
-    cli._emit_table(payload, iter(rows))
-    assert capsys.readouterr().out == json.dumps({**payload, "table": rows}, indent=2, sort_keys=True) + "\n"
+def _dump_instances():
+    """Generated instances, n = 1 (``last_rank`` is ``[]``) and m = 0
+    included, mixed denominators, and items whose names hold the text
+    around the table's place in the payload."""
+    for n, m, seed in itertools.product(range(1, 6), (0, 1, 3, 5, 8), (0, 1)):
+        yield sm.generate_random_instance(n, m, seed)
+    for n, m, seed in itertools.product((1, 2, 3), (2, 5, 8), (0, 1)):
+        yield mixed_denominator_instance(n, m, seed)
+    names = ["NaN", "\nNaN\n", 'table": null', '"table": []', "\n  ]", "é"]
+    for n in (1, 2, 3):
+        inst = sm.generate_random_instance(n, len(names), n)
+        name = dict(zip(inst.items, names))
+        rankings = {agent: [name[item] for item in ranking] for agent, ranking in inst.rankings.items()}
+        yield sm.make_instance(names, n, inst.policy, rankings, {name[i]: u for i, u in inst.utility.items()})
+
+
+def _table_rows(table):
+    def as_dict(state):
+        return None if state is None else {"x": state.x, "y": state.y, "last_rank": list(state.last_rank)}
+
+    return [
+        {"state": as_dict(state), "utility": str(entry.utility), "pred": as_dict(entry.pred), "q": entry.q}
+        for state, entry in sorted(table.items())
+    ]
+
+
+def test_dump_table_prints_the_json_of_the_sorted_table(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    for inst in _dump_instances():
+        path.write_text(sm.serialize_instance(inst), encoding="utf-8")
+        rows = _table_rows(sm.best_response_with_table(inst)[1])
+        for check in ([], ["--check"]):
+            code, out, _err = run_cli(capsys, "solve", str(path), *check)
+            assert code == 0
+            payload = json.loads(out)
+            code, out, _err = run_cli(capsys, "solve", str(path), "--dump-table", *check)
+            assert code == 0
+            assert out == json.dumps({**payload, "table": rows}, indent=2, sort_keys=True) + "\n", inst
+
+
+def test_dump_table_streams_one_rebuild_and_decodes_no_mapping(capsys, monkeypatch, ex1_path):
+    builds = []
+    build = dp._build
+
+    def counted(inst, budget, keep=False):
+        builds.append(keep)
+        return build(inst, budget, keep)
+
+    def no_view(self):
+        raise AssertionError("the dump reads the stages, not the mapping")
+
+    monkeypatch.setattr(dp, "_build", counted)
+    monkeypatch.setattr(dp.DPTable, "_view", no_view)
+    code, out, _err = run_cli(capsys, "solve", ex1_path, "--dump-table")
+    assert code == 0
+    assert builds == [False, True]
+    payload = json.loads(out)
+    assert len(payload["table"]) == payload["dp_states"] == 9
 
 
 def test_greedy_command(capsys, ex1_path):
@@ -169,8 +221,9 @@ def test_solve_of_a_400_item_three_agent_instance_fits_96_mib():
 
 
 def test_dump_table_of_a_150_item_three_agent_instance_fits_96_mib():
-    # The rows are encoded and written a batch at a time; the whole list of
-    # row dicts and its text (about 4 KB per stored state) ran out of memory.
+    # The rows are formatted and written a stage at a time; the whole list
+    # of row dicts and its text (about 4 KB per stored state) ran out of
+    # memory.
     limit = _address_space_limit(96)
     document = subprocess.run(
         [sys.executable, "-m", "seqmanip", "gen", "--agents", "3", "--items", "150", "--seed", "1"],
@@ -299,11 +352,21 @@ def test_gen_tightness(capsys):
     [
         (["ratio", "{ex1}", "--tightness", "10"], "ratio: give either an instance file or --tightness K"),
         (["gen", "--tightness", "5", "--seed", "3"], "gen: --seed does not apply to --tightness"),
+        (["gen", "--tightness", "5", "--agents", "7"], "gen: --agents does not apply to --tightness"),
+        (["gen", "--items", "40", "--tightness", "5"], "gen: --items does not apply to --tightness"),
         (["achievable", "{tight}", "--target", "g1,g1,g2"], "target: repeated item 'g1'"),
         (["achievable", "{ex1}", "--target", "a,zz"], "target: items not in the instance: ['zz']"),
         (["achievable", "{ex1}", "--target", "a"], "target: size 1 must equal the manipulator's turn count 2"),
     ],
-    ids=["ratio-file-and-tightness", "gen-tightness-and-seed", "repeated-target", "unknown-target", "short-target"],
+    ids=[
+        "ratio-file-and-tightness",
+        "gen-tightness-and-seed",
+        "gen-tightness-and-agents",
+        "gen-tightness-and-items",
+        "repeated-target",
+        "unknown-target",
+        "short-target",
+    ],
 )
 def test_conflicting_or_bad_arguments_exit_1_with_one_line(capsys, tmp_path, ex1_path, argv, message):
     tight = tmp_path / "tight.json"  # the tightness instance has two manipulator turns

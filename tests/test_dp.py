@@ -149,6 +149,20 @@ def test_metamorphic_relations_hold_past_the_oracles_reach():
         assert optimum(items, n + 1, policy, idle, utility) == best, f"seed={seed}"
 
 
+def test_agents_sharing_one_ranking_act_as_one_agent():
+    # When agents 2..n share one ranking, each of their turns takes the top
+    # remaining item of that ranking, whoever's turn it is: the optimum is
+    # that of the n = 2 instance where agent 2 takes all their turns.  The
+    # n-agent build keeps a last rank per agent, the n = 2 build one.
+    for inst, seed in random_instances(300, seed=101, agents=(3, 4, 5), max_items=40):
+        items, ranking = inst.items, inst.rankings[2]
+        shared = {1: inst.rankings[1], **{agent: ranking for agent in range(2, inst.n_agents + 1)}}
+        merged = [min(agent, 2) for agent in inst.policy]
+        many = sm.make_instance(items, inst.n_agents, inst.policy, shared, inst.utility)
+        two = sm.make_instance(items, 2, merged, {1: inst.rankings[1], 2: ranking}, inst.utility)
+        assert best_response_with_table(many)[0].utility == best_response_with_table(two)[0].utility, f"seed={seed}"
+
+
 def _check_every_transition(inst) -> int:
     """Step every stored state below the last stage by one segment for each
     allowed q, independently of the DP's own stage step.  Each target must be

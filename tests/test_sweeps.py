@@ -134,6 +134,26 @@ def test_sweep_parallel_matches_serial():
     assert serial.crucial_count == parallel.crucial_count
 
 
+def test_the_pool_pulls_its_arguments_a_bounded_window_ahead():
+    # A pool that submits every chunk at once drains all 10**5 arguments
+    # before its first result.
+    pulled = 0
+
+    def arguments():
+        nonlocal pulled
+        for value in range(-(10**5), 0):
+            pulled += 1
+            yield (value,)
+
+    workers, chunk_size = 2, 16
+    results = sweeps._starmap(abs, arguments(), workers, chunk_size)
+    try:
+        assert next(results) == 10**5
+        assert pulled <= (2 * workers + 1) * chunk_size, pulled
+    finally:
+        results.close()
+
+
 def test_importing_the_cli_does_not_import_the_process_pool():
     # Only a sweep with workers > 1 needs it; `seqmanip solve` never does.
     code = "import sys, seqmanip.cli; print('concurrent.futures.process' in sys.modules)"
