@@ -26,7 +26,7 @@ _EXPORTS = {
     "BudgetExceeded",
     "greedy": "greedy_alg",
     "oracle": "choice_tree_best dominated_greedy_best is_crucial",
-    "dp": "DPState DPEntry best_response_with_table",
+    "dp": "DPState best_response_with_table",
     "responses": "truthful_response ApproximationReport approximation_report allocation_response",
     "cli": "",
     "sweeps": "",

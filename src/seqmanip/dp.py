@@ -15,16 +15,16 @@ wins.  Utilities are the instance view's integer weights (each utility
 times ``view.scale``), so every sum and comparison is on Python ints.
 While a stage is built, its states are two parallel lists, int keys and
 weights, and a predecessor is an index into the previous stage's lists.
-A finished stage keeps one ``array('Q')`` of ``pred_index << bits | q``
-per state (``bits = m.bit_length()``; q is at most m), about 9 bytes per
-stored state, and the previous stage's lists are dropped.  The last
-stage keeps only its best total and that state's index: the highest
-total, then the smallest key.  A solve replays its chain from these
-arrays alone.  ``DPTable._stages`` runs the build again, keeping each
-stage's keys and weights, checks that the rebuild packs the same arrays,
-and decodes each stage's states in stored order.  The mapping decodes its
-entries and ``Fraction`` utilities from it when first read, and ``solve
---dump-table`` its rows, a stage at a time.
+A finished stage is one ``array('Q')`` of ``pred_index << bits | q`` per
+state (``bits = m.bit_length()``; q is at most m), about 9 bytes per
+stored state.  :func:`_grow` yields the stages one at a time, base first,
+and drops each stage's lists once the next is built; the last stage also
+sets the best total and that state's index: the highest total, then the
+smallest key.  A solve keeps the arrays and replays its chain from them
+alone.  ``DPTable._stages`` runs the generator again, checks each rebuilt
+array against the stored one before it decodes that stage's states, and
+so holds two stages' lists at a time; ``solve --dump-table`` formats its
+rows from it.
 
 A state's allocated items are exactly the items that the agents 2..n rank
 above their last picks: each agent took its top remaining item, and each
@@ -93,8 +93,7 @@ hold more states than its budget.
 from __future__ import annotations
 
 from array import array
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
-from fractions import Fraction
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import engine
@@ -106,6 +105,9 @@ from .engine import (
 )
 from .model import MANIPULATOR, Agent, Instance
 
+# What a rebuild that stores a different table raises.
+_REBUILT = "internal error: the dynamic program's rebuild stored a different table"
+
 
 class DPState(NamedTuple):
     x: int
@@ -113,15 +115,8 @@ class DPState(NamedTuple):
     last_rank: tuple[int, ...]
 
 
-class DPEntry(NamedTuple):
-    utility: Fraction
-    pred: DPState | None
-    q: int
-
-
-class DPTable(Mapping[DPState, DPEntry]):
-    """The stored states of one solve, read-only, in the order the build
-    stored them.
+class DPTable:
+    """The stored states of one solve, as one packed array per stage.
 
     ``packed[x]`` holds, for the i-th state of stage x, its predecessor's
     index in stage x - 1 shifted left by ``bits``, plus its q.  A state
@@ -129,79 +124,63 @@ class DPTable(Mapping[DPState, DPEntry]):
     each last rank in a field ``bits = m.bit_length()`` wide, at
     ``shifts[agent]``.  Every field is at most m, so keys order as their
     states do, and ``low`` masks one field or a q.  ``core`` is the
-    policy's stage agents, for replays.  :meth:`_stages` decodes the
-    stages from a rebuild (see the module docstring)."""
+    policy's stage agents, for replays.  ``len`` is the number of stored
+    states; :meth:`_stages` decodes the stages from a rebuild (see the
+    module docstring)."""
 
     def __init__(self, inst: Instance, budget: int):
         n = inst.n_agents
         self.bits = bits = inst.m.bit_length()
         self.core = inst.decomposition.core
-        self.packed: list[array] = [array("Q", [0])]
+        self.packed: list[array] = []
         self.low = (1 << bits) - 1
         self.y_shift = (n - 1) * bits
         self.shifts = {agent: (n - agent) * bits for agent in range(2, n + 1)}
         self._inst = inst
         self._budget = budget
-        self._entries: dict[DPState, DPEntry] | None = None
 
     def _stages(self) -> Iterator[tuple[list[DPState], list[int], array]]:
         """Each stage's states, integer weights and packed codes, in stored
-        order, from a second build that keeps the stages' keys and weights."""
-        rebuilt, _best, _best_index, (stage_keys, stage_weights, _totals) = _build(self._inst, self._budget, True)
-        if rebuilt.packed != self.packed:
-            raise RuntimeError("internal error: the dynamic program's rebuild stored a different table")
+        order, from a rebuild that must pack the stored arrays."""
         y_shift, shifts, low = self.y_shift, self.shifts.values(), self.low
-        for x, (keys, weights, packed) in enumerate(zip(stage_keys, stage_weights, self.packed)):
+        x = -1
+        for x, (packed, keys, weights, _best, _best_index) in enumerate(_grow(self)):
+            if x == len(self.packed) or packed != self.packed[x]:
+                raise RuntimeError(_REBUILT)
             states = [DPState(x, key >> y_shift, tuple([(key >> s) & low for s in shifts])) for key in keys]
             yield states, weights, packed
-
-    def _view(self) -> dict[DPState, DPEntry]:
-        """Every stored state's entry, in stored order, decoded on the first call."""
-        if self._entries is None:
-            scale, bits, low = self._inst.view.scale, self.bits, self.low
-            entries: dict[DPState, DPEntry] = {}
-            # the base state's code is 0: index 0 of this list is its pred
-            previous: list[DPState | None] = [None]
-            for states, weights, packed in self._stages():
-                for state, weight, code in zip(states, weights, packed):
-                    entries[state] = DPEntry(Fraction(weight, scale), previous[code >> bits], code & low)
-                previous = states
-            self._entries = entries
-        return self._entries
-
-    def __getitem__(self, state: DPState) -> DPEntry:
-        return self._view()[state]
-
-    def __iter__(self) -> Iterator[DPState]:
-        return iter(self._view())
+        if x + 1 != len(self.packed):
+            raise RuntimeError(_REBUILT)
 
     def __len__(self) -> int:
         return sum(map(len, self.packed))
 
-    def items(self) -> ItemsView[DPState, DPEntry]:
-        return self._view().items()
 
-    def values(self) -> ValuesView[DPEntry]:
-        return self._view().values()
-
-
-def _build(
-    inst: Instance, budget: int, keep: bool = False
-) -> tuple[DPTable, int, int, tuple[list[list[int]], list[list[int]], list[int]] | None]:
+def _build(inst: Instance, budget: int) -> tuple[DPTable, int, int]:
     """Fill the table; returns it, the best complete total of a final state
     as an integer weight (the manipulator takes every item left after the
     last segment) and that state's index in the last stage.  Raises
     :class:`BudgetExceeded` when the table would store more than
-    ``budget`` states.  With ``keep`` it also returns every stage's keys
-    and weights and every final state's total, in stored order.
+    ``budget`` states."""
+    table = DPTable(inst, budget)
+    for packed, _keys, _weights, best, best_index in _grow(table):
+        table.packed.append(packed)
+    return table, best, best_index
+
+
+def _grow(table: DPTable) -> Iterator[tuple[array, list[int], list[int], int, int]]:
+    """Build ``table``'s stages, base first, and yield each one's packed
+    array, keys and weights in stored order, with the best complete total
+    and its index in the last stage; the last stage sets both.  Appends
+    nothing to the table.
 
     A stage takes two steps.  First one pass over the predecessor keys
     puts each key's index into its group.  Then each group, in the order
     the groups first appear, is walked once: T from its first member, the
     members in stored order, and one loop over y.  The budget is checked
     before each group's block of new keys."""
+    inst, budget = table._inst, table._budget
     dec = inst.decomposition
-    table = DPTable(inst, budget)
     m = inst.m
     view = inst.view
     weight, bit = view.weight, view.bits
@@ -226,13 +205,11 @@ def _build(
     stored = 1
     # with no stage the base state takes every item
     best, best_key, best_index = (-1, 0, 0) if dec.core else (sum(weight), 0, 0)
-    stage_keys, stage_weights, totals = [keys], [weights], [] if dec.core else [best]
+    yield array("Q", [0]), keys, weights, best, best_index
     for x in range(1, len(dec.core) + 1):
         pref, agent_placed, shift, group_mask, others = steps[dec.core[x - 1]]
         y_top = min(dec.k_prefix[x], m - x)
         last = x == len(dec.core)
-        # the last stage's keys and weights are needed only for a kept table
-        store = keep or not last
         packed = array("Q")
         new_keys: list[int] = []
         new_weights: list[int] = []
@@ -281,27 +258,21 @@ def _build(
                     received = pref[pos]
                 pos += 1
                 received_weight = weight[received]
+                new_key = key + agent_placed[received]
                 packed.append(pred_code + y)
+                new_keys.append(new_key)
+                new_weights.append(cand_weight)
                 if last:
                     free -= received_weight
                     total = cand_weight + free
-                    if total >= best and (total > best or key + agent_placed[received] < best_key):
-                        best, best_key, best_index = total, key + agent_placed[received], len(packed) - 1
-                    if keep:
-                        totals.append(total)
-                if store:
-                    new_keys.append(key + agent_placed[received])
-                    new_weights.append(cand_weight)
+                    if total >= best and (total > best or new_key < best_key):
+                        best, best_key, best_index = total, new_key, len(packed) - 1
                 cand_weight += received_weight
                 key += y_unit
         keys.pop()
-        table.packed.append(packed)
         stored += len(packed)
         keys, weights = new_keys, new_weights
-        if keep:
-            stage_keys.append(keys)
-            stage_weights.append(weights)
-    return table, best, best_index, (stage_keys, stage_weights, totals) if keep else None
+        yield packed, keys, weights, best, best_index
 
 
 def _chain_turns(table: DPTable, x: int, index: int) -> list[Agent]:
@@ -330,7 +301,7 @@ def _optimum(inst: Instance, budget: int) -> tuple[list[int], int, DPTable, list
     item index each of its turns takes in the chain's greedy trace.  The
     manipulator takes every turn past the chain.  ``budget`` is resolved,
     and nothing is certified."""
-    table, best, best_index, _stages = _build(inst, budget)
+    table, best, best_index = _build(inst, budget)
     turns = _chain_turns(table, len(table.packed) - 1, best_index)
     turns += [MANIPULATOR] * (inst.m - len(turns))
     order = engine._greedy(inst, turns)

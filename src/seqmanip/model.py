@@ -39,6 +39,10 @@ _DOCUMENT_KEYS = {"items", "agents", "policy", "rankings", "utilities"}
 # Utility strings: a decimal integer or "p/q"; no decimal points or exponents.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+# Ranking keys: an agent index as ``serialize_instance`` writes it, so two
+# keys never name one agent.
+_AGENT_KEY = re.compile(r"[1-9][0-9]*")
+
 # Every weight is about as long as ``scale``, so the view costs m times its
 # size: ``scale`` may have at most as many digits as the longest integer
 # literal CPython parses by default.
@@ -364,13 +368,13 @@ def parse_instance(text: str) -> Instance:
     for key, ranking in doc["rankings"].items():
         path = f"rankings.{_clip(key)}"
         try:
+            if not _AGENT_KEY.fullmatch(key):
+                raise ValueError(key)
             agent = int(key)
-        except ValueError as exc:
-            raise InstanceError(path, "agent keys must be integers") from exc
+        except ValueError as exc:  # also a key past CPython's integer digit limit
+            raise InstanceError(path, "agent keys must be unsigned decimal integers with no leading zero") from exc
         if not isinstance(ranking, list):
             raise InstanceError(path, "ranking must be a list of items")
-        if agent in rankings:
-            raise InstanceError(path, f"duplicate key for agent {_clip(str(agent))}")
         rankings[agent] = ranking
     return make_instance(items, doc["agents"], doc["policy"], rankings, doc["utilities"])
 

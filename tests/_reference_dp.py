@@ -5,9 +5,10 @@ tries every q from 0 to its q_max and keeps a candidate when it beats the
 stored one, with one dict lookup per try.  Its work per predecessor grows
 with the chain length, but its stage dicts, each mapping a key to its
 weight, its predecessor's key and its q, are the specification of the
-chain pass in :func:`seqmanip.dp._build`: the same keys, the same entries
+chain pass in :func:`seqmanip.dp._grow`: the same keys, the same entries
 and the same insertion order.  Its completion pops every free item of
-each final state, one at a time; ``_build``'s totals must equal it.
+each final state, one at a time; ``_grow``'s best total and index must
+pick its highest total, then its smallest key.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import seqmanip as sm
+from seqmanip.dp import DPState, DPTable
 from seqmanip.engine import DEFAULT_STATE_BUDGET, _resolve_budget
 from seqmanip.oracle import _reachable
 from paper_lemmas import considered_before, move_manipulator_turn, trace_feasible_stepwise, witness_strategy
@@ -44,6 +46,28 @@ def example1_document() -> str:
             "utilities": {k: str(v) for k, v in EXAMPLE1_UTILITIES.items()},
         }
     )
+
+
+class Entry(NamedTuple):
+    """A stored state's utility, predecessor state and q."""
+
+    utility: Fraction
+    pred: DPState | None
+    q: int
+
+
+def decode_table(inst: sm.Instance, table: DPTable) -> dict[DPState, Entry]:
+    """Every stored state's entry, in stored order, decoded from
+    ``table._stages()`` alone."""
+    scale, bits, low = inst.view.scale, table.bits, table.low
+    entries: dict[DPState, Entry] = {}
+    # the base state's code is 0: index 0 of this list is its pred
+    previous: list[DPState | None] = [None]
+    for states, weights, packed in table._stages():
+        for state, weight, code in zip(states, weights, packed):
+            entries[state] = Entry(Fraction(weight, scale), previous[code >> bits], code & low)
+        previous = states
+    return entries
 
 
 def random_instances(count: int, seed: int, agents=(2, 3, 4), max_items: int = 7, min_items: int = 1):

@@ -13,10 +13,10 @@ traces, prefix splicing, and moving a manipulator turn later.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from seqmanip import engine
-from seqmanip.dp import DPState, DPTable
+from seqmanip.dp import DPState
 from seqmanip.engine import AllocationSequence, PickingStrategy, Step
 from seqmanip.model import MANIPULATOR, Agent, Instance, Item
 from seqmanip.policy import Policy
@@ -81,17 +81,18 @@ def dominates(p1: Sequence[Agent], p2: Sequence[Agent]) -> bool:
     return all(a <= b for a, b in zip(z1, z2))
 
 
-def replay_state(inst: Instance, table: DPTable, state: DPState) -> AllocationSequence:
+def replay_state(inst: Instance, entries: Mapping[DPState, Any], state: DPState) -> AllocationSequence:
     """The stored partial trace realising ``state``: the greedy trace of its
     chain's turns, per entry q manipulator turns and then the stage agent's,
-    found by following the entries' predecessors; ``KeyError`` when
-    ``state`` is not stored."""
+    found by following the predecessors of ``entries`` (a decoded table,
+    ``_util.decode_table``); ``KeyError`` when ``state`` is not stored."""
     turns: list[Agent] = []
-    entry = table[state]
+    core = inst.decomposition.core
+    entry = entries[state]
     for x in range(state.x, 0, -1):
-        turns.append(table.core[x - 1])
+        turns.append(core[x - 1])
         turns.extend([MANIPULATOR] * entry.q)
-        entry = table[entry.pred]
+        entry = entries[entry.pred]
     turns.reverse()
     return engine._steps(inst, turns, engine._greedy(inst, turns))
 

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 
 import pytest
 
 import seqmanip as sm
 from seqmanip import cli, dp, engine
 from seqmanip.cli import main
-from _util import example1_document, mixed_denominator_instance
+from _util import decode_table, example1_document, mixed_denominator_instance
 
 
 @pytest.fixture
@@ -70,13 +71,13 @@ def _dump_instances():
         yield sm.make_instance(names, n, inst.policy, rankings, {name[i]: u for i, u in inst.utility.items()})
 
 
-def _table_rows(table):
+def _table_rows(inst, table):
     def as_dict(state):
         return None if state is None else {"x": state.x, "y": state.y, "last_rank": list(state.last_rank)}
 
     return [
         {"state": as_dict(state), "utility": str(entry.utility), "pred": as_dict(entry.pred), "q": entry.q}
-        for state, entry in sorted(table.items())
+        for state, entry in sorted(decode_table(inst, table).items())
     ]
 
 
@@ -84,7 +85,7 @@ def test_dump_table_prints_the_json_of_the_sorted_table(capsys, tmp_path):
     path = tmp_path / "instance.json"
     for inst in _dump_instances():
         path.write_text(sm.serialize_instance(inst), encoding="utf-8")
-        rows = _table_rows(sm.best_response_with_table(inst)[1])
+        rows = _table_rows(inst, sm.best_response_with_table(inst)[1])
         for check in ([], ["--check"]):
             code, out, _err = run_cli(capsys, "solve", str(path), *check)
             assert code == 0
@@ -95,23 +96,43 @@ def test_dump_table_prints_the_json_of_the_sorted_table(capsys, tmp_path):
 
 
 def test_dump_table_streams_one_rebuild_and_decodes_no_mapping(capsys, monkeypatch, ex1_path):
-    builds = []
-    build = dp._build
+    builds, grows = [], []
+    build, grow = dp._build, dp._grow
 
-    def counted(inst, budget, keep=False):
-        builds.append(keep)
-        return build(inst, budget, keep)
+    def counted_build(inst, budget):
+        builds.append(inst)
+        return build(inst, budget)
 
-    def no_view(self):
-        raise AssertionError("the dump reads the stages, not the mapping")
+    def counted_grow(table):
+        grows.append(table)
+        return grow(table)
 
-    monkeypatch.setattr(dp, "_build", counted)
-    monkeypatch.setattr(dp.DPTable, "_view", no_view)
+    monkeypatch.setattr(dp, "_build", counted_build)
+    monkeypatch.setattr(dp, "_grow", counted_grow)
     code, out, _err = run_cli(capsys, "solve", ex1_path, "--dump-table")
     assert code == 0
-    assert builds == [False, True]
+    # the solve's build, then one rebuild of the same table for the rows
+    assert len(builds) == 1 and len(grows) == 2 and grows[0] is grows[1]
+    assert not isinstance(grows[0], Mapping)
     payload = json.loads(out)
     assert len(payload["table"]) == payload["dp_states"] == 9
+
+
+def test_dump_table_exits_2_with_one_line_when_the_rebuild_differs(capsys, monkeypatch, ex1_path):
+    grow = dp._grow
+
+    def perturbed(table):
+        stages = list(grow(table))
+        if table.packed:  # the rebuild: the solve's table is still empty
+            stages[-1][0][-1] ^= 1
+        return iter(stages)
+
+    monkeypatch.setattr(dp, "_grow", perturbed)
+    code, out, err = run_cli(capsys, "solve", ex1_path, "--dump-table")
+    assert code == 2
+    assert err == "error: internal error: the dynamic program's rebuild stored a different table\n"
+    # the rows of the stages before the last went out before the check failed
+    assert out.startswith("{") and '"table": [' in out and not out.endswith("}\n")
 
 
 def test_greedy_command(capsys, ex1_path):

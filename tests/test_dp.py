@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -13,7 +14,7 @@ from seqmanip.dp import DPState, best_response_with_table
 from seqmanip.policy import decompose
 from paper_lemmas import dominates, invariance_related, is_greedy_stepwise, replay_state, trace_feasible_stepwise
 from _reference_dp import reference_build
-from _util import mixed_denominator_instance, random_instances, round_robin_instance
+from _util import Entry, decode_table, mixed_denominator_instance, random_instances, round_robin_instance
 
 # The (n, m) points of the benchmark's DP grid, here as generated instances
 # under the round-robin policy.
@@ -21,21 +22,21 @@ GRID = [(2, 200), (3, 90), (4, 40), (5, 24)]
 
 
 def test_first_stage_states_example1(ex1):
-    table = best_response_with_table(ex1)[1]
-    stage1 = {state: entry for state, entry in table.items() if state.x == 1}
+    entries = decode_table(ex1, best_response_with_table(ex1)[1])
+    stage1 = {state: entry for state, entry in entries.items() if state.x == 1}
     assert set(stage1) == {DPState(1, 0, (0, 1)), DPState(1, 1, (0, 2))}
     assert stage1[DPState(1, 0, (0, 1))].utility == 0
     assert stage1[DPState(1, 1, (0, 2))].utility == Fraction(1)  # picked e
-    assert replay_state(ex1, table, DPState(1, 0, (0, 1))) == (("e", 3),)
-    assert replay_state(ex1, table, DPState(1, 1, (0, 2))) == (("e", 1), ("b", 3))
+    assert replay_state(ex1, entries, DPState(1, 0, (0, 1))) == (("e", 3),)
+    assert replay_state(ex1, entries, DPState(1, 1, (0, 2))) == (("e", 1), ("b", 3))
 
 
 def test_collision_keeps_better_candidate_example1(ex1):
     # two traces reach (3, 1, (4, 1)): one paid for b, the other for c
-    table = best_response_with_table(ex1)[1]
+    entries = decode_table(ex1, best_response_with_table(ex1)[1])
     state = DPState(3, 1, (4, 1))
-    assert table[state].utility == Fraction(4)
-    assert replay_state(ex1, table, state) == (
+    assert entries[state].utility == Fraction(4)
+    assert replay_state(ex1, entries, state) == (
         ("e", 3),
         ("c", 2),
         ("b", 1),
@@ -49,7 +50,7 @@ def test_best_response_example1(ex1):
     assert solution.utility == Fraction(9)
     assert solution.sequence == (("e", 3), ("c", 2), ("b", 1), ("d", 2), ("a", 1))
     assert solution.strategy == ("b", "a", "c", "d", "e")
-    assert DPState(3, 1, (4, 1)) in table
+    assert DPState(3, 1, (4, 1)) in decode_table(ex1, table)
 
 
 def test_tightness_best_response():
@@ -64,7 +65,7 @@ def test_manipulator_only_policy_uses_base_state_only():
         ["a", "b", "c"], 1, [1, 1, 1], {1: ["a", "b", "c"]}, {"a": 3, "b": 2, "c": 1}
     )
     table = best_response_with_table(inst)[1]
-    assert set(table) == {DPState(0, 0, ())}
+    assert set(decode_table(inst, table)) == {DPState(0, 0, ())}
     solution = sm.best_response_with_table(inst)[0]
     assert solution.bundle.items == {"a", "b", "c"}
     assert solution.utility == Fraction(6)
@@ -90,11 +91,11 @@ def test_no_manipulator_turns():
 def test_table_invariants_on_random_instances():
     for inst, seed in random_instances(120, seed=29, max_items=7):
         dec = decompose(inst.policy)
-        table = best_response_with_table(inst)[1]
-        for state, entry in table.items():
+        entries = decode_table(inst, best_response_with_table(inst)[1])
+        for state, entry in entries.items():
             assert 0 <= state.x <= dec.m_prime
             assert 0 <= state.y <= dec.k_prefix[state.x] if state.x else state.y == 0
-            trace = replay_state(inst, table, state)
+            trace = replay_state(inst, entries, state)
             assert len(trace) == state.x + state.y
             assert trace_feasible_stepwise(inst, trace)
             assert is_greedy_stepwise(inst, trace)
@@ -163,6 +164,35 @@ def test_agents_sharing_one_ranking_act_as_one_agent():
         assert best_response_with_table(many)[0].utility == best_response_with_table(two)[0].utility, f"seed={seed}"
 
 
+def test_a_manipulator_turn_moved_earlier_never_lowers_the_optimum():
+    # Swapping a manipulator turn with the turn just before it gives a
+    # policy that dominates the original, so the optimum cannot fall.
+    rng = random.Random(103)
+    moved = 0
+    for inst, seed in random_instances(60, seed=103, max_items=40, min_items=2):
+        policy = list(inst.policy)
+        turns = [t for t in range(1, inst.m) if policy[t] == sm.MANIPULATOR != policy[t - 1]]
+        if not turns:
+            continue
+        t = rng.choice(turns)
+        policy[t - 1], policy[t] = policy[t], policy[t - 1]
+        earlier = best_response_with_table(inst.with_policy(policy))[0].utility
+        assert earlier >= best_response_with_table(inst)[0].utility, f"seed={seed}"
+        moved += 1
+    assert moved >= 50
+
+
+def test_truthful_play_keeps_half_the_optimum_at_large_m():
+    sizes = {2: (100, 150, 200, 250, 300), 3: (60, 75, 90, 105, 120), 4: (30, 35, 40, 45, 50)}
+    checked = 0
+    for n, ms in sizes.items():
+        for m, seed in itertools.product(ms, (1, 2)):
+            inst = sm.generate_random_instance(n, m, seed)
+            assert sm.approximation_report(inst).ratio >= Fraction(1, 2), (n, m, seed)
+            checked += 1
+    assert checked == 30
+
+
 def _check_every_transition(inst) -> int:
     """Step every stored state below the last stage by one segment for each
     allowed q, independently of the DP's own stage step.  Each target must be
@@ -171,14 +201,14 @@ def _check_every_transition(inst) -> int:
     highest utility and, among those, the smallest (q, pred).  Returns the
     number of targets where two best candidates had the same q."""
     dec = decompose(inst.policy)
-    _solution, table = best_response_with_table(inst)
+    entries = decode_table(inst, best_response_with_table(inst)[1])
     candidates: dict[DPState, list] = {}
-    for pred, entry in table.items():
+    for pred, entry in entries.items():
         if pred.x == dec.m_prime:
             continue
         x = pred.x + 1
         agent = dec.core[x - 1]
-        trace = replay_state(inst, table, pred)
+        trace = replay_state(inst, entries, pred)
         taken = {item for item, _ in trace}
         ranking = inst.rankings[agent]
         free = [item for item in ranking if item not in taken]
@@ -187,17 +217,17 @@ def _check_every_transition(inst) -> int:
             last_rank = list(pred.last_rank)
             last_rank[agent - 2] = ranking.index(free[q]) + 1
             target = DPState(x, pred.y + q, tuple(last_rank))
-            assert target in table
-            assert invariance_related(trace + segment, replay_state(inst, table, target))
+            assert target in entries
+            assert invariance_related(trace + segment, replay_state(inst, entries, target))
             utility = entry.utility + sum((inst.utility[item] for item in free[:q]), Fraction(0))
             candidates.setdefault(target, []).append((utility, q, pred))
-    assert set(candidates) == {state for state in table if state.x > 0}
+    assert set(candidates) == {state for state in entries if state.x > 0}
     same_q_ties = 0
     for state, found in candidates.items():
         best = max(utility for utility, _, _ in found)
         winners = sorted((q, pred) for utility, q, pred in found if utility == best)
         q, pred = winners[0]
-        assert table[state] == sm.DPEntry(best, pred, q)
+        assert entries[state] == Entry(best, pred, q)
         same_q_ties += len(winners) > 1 and winners[0][0] == winners[1][0]
     return same_q_ties
 
@@ -232,9 +262,9 @@ def test_every_item_an_agent_ranks_above_its_last_pick_is_taken(ex1):
         sm.generate_random_instance(n, m, seed) for n in (2, 3, 4, 5) for m in (8, 12, 16) for seed in (1, 2, 3, 4)
     ]
     for inst in instances:
-        table = best_response_with_table(inst)[1]
-        for state in table:
-            trace = replay_state(inst, table, state)
+        entries = decode_table(inst, best_response_with_table(inst)[1])
+        for state in entries:
+            trace = replay_state(inst, entries, state)
             ranked_above = set()
             for agent in range(2, inst.n_agents + 1):
                 ranked_above.update(inst.rankings[agent][: state.last_rank[agent - 2]])
@@ -264,14 +294,14 @@ def test_every_state_stores_y_as_its_allocated_count_less_x():
     ]
     checked = 0
     for inst in instances:
-        table = best_response_with_table(inst)[1]
-        for state in table:
+        entries = decode_table(inst, best_response_with_table(inst)[1])
+        for state in entries:
             ranked_above = set()
             for agent in range(2, inst.n_agents + 1):
                 ranked_above.update(inst.rankings[agent][: state.last_rank[agent - 2]])
             assert state.y == len(ranked_above) - state.x, (inst, state)
             checked += 1
-        per_stage = Counter(state.x for state in table)
+        per_stage = Counter(state.x for state in entries)
         assert max(per_stage.values()) <= (inst.m + 1) ** (inst.n_agents - 1), inst
     assert checked > 15000
 
@@ -284,9 +314,9 @@ def test_stored_states_are_closed_under_the_minimum_and_stored_in_its_order():
     checked = 0
     for spec in sweeps.iter_random_specs(1200, range(3, 6), 9, seed=79):
         table = best_response_with_table(sweeps.build_instance(spec))[1]
-        for x in range(len(table.packed)):
+        for states, _weights, _packed in table._stages():
             # the rebuilt states, in stored order
-            ranks = [state.last_rank for state in table if state.x == x]
+            ranks = [state.last_rank for state in states]
             stored = set(ranks)
             for i, later in enumerate(ranks):
                 for earlier in ranks[:i]:
@@ -297,29 +327,31 @@ def test_stored_states_are_closed_under_the_minimum_and_stored_in_its_order():
 
 
 def _same_stages(inst) -> None:
-    table, best, best_index, (stage_keys, stage_weights, totals) = dp._build(inst, 10**7, keep=True)
+    layout = dp.DPTable(inst, 10**7)
     expected_stages, expected_final = reference_build(inst, 10**7)
-    assert len(table.packed) == len(stage_keys) == len(stage_weights) == len(expected_stages)
-    for x, expected in enumerate(expected_stages):
-        keys, weights, packed = stage_keys[x], stage_weights[x], table.packed[x]
+    grown = []
+    pred_keys: list[int] = []
+    for x, (packed, keys, weights, best, best_index) in enumerate(dp._grow(layout)):
         assert len(keys) == len(weights) == len(packed), (inst, x)
         stage = [
-            (key, (weight, stage_keys[x - 1][code >> table.bits] if x else 0, code & table.low))
+            (key, (weight, pred_keys[code >> layout.bits] if x else 0, code & layout.low))
             for key, weight, code in zip(keys, weights, packed)
         ]
-        assert stage == list(expected.items()), (inst, x)
-    assert list(zip(stage_keys[-1], totals)) == list(expected_final.items()), inst
-    # the best total, then the smallest key; the lean build packs the same arrays
-    assert best == max(totals), inst
-    assert stage_keys[-1][best_index] == min(key for key, total in zip(stage_keys[-1], totals) if total == best)
-    lean, *lean_best, lean_kept = dp._build(inst, 10**7)
-    assert lean.packed == table.packed and lean_best == [best, best_index] and lean_kept is None, inst
+        assert stage == list(expected_stages[x].items()), (inst, x)
+        grown.append(packed)
+        pred_keys = keys
+    assert len(grown) == len(expected_stages) and not layout.packed, inst
+    # the highest final total, then the smallest key; the build packs the same arrays
+    assert best == max(expected_final.values()), inst
+    assert pred_keys[best_index] == min(key for key, total in expected_final.items() if total == best), inst
+    table, *table_best = dp._build(inst, 10**7)
+    assert table.packed == grown and table_best == [best, best_index], inst
 
 
 def test_chain_pass_stores_what_the_per_q_loop_stores():
     """Same keys, entries and insertion order in every stage as the build
-    that tries every q, and the same complete totals, in the same order, as
-    popping each final state's free items."""
+    that tries every q, and the same best final state as popping each
+    final state's free items."""
     for spec in sweeps.iter_random_specs(3000, range(2, 6), 10, seed=73):
         _same_stages(sweeps.build_instance(spec))
     for n, m, seed in itertools.product((2, 3, 4), range(1, 11), range(4)):
@@ -338,18 +370,18 @@ def test_equal_weights_at_one_y_keep_the_smaller_predecessor():
     ranks.  The walk lets both take over the running maximum at that y, in
     key order, so on equal weight the smaller key keeps it."""
     inst = sweeps.build_instance(("random", 3, 8, 3649409774))
-    table = best_response_with_table(inst)[1]
+    entries = decode_table(inst, best_response_with_table(inst)[1])
     state = DPState(6, 2, (5, 5))
     agent = inst.decomposition.core[state.x - 1]
     assert agent == 2
     preds = [DPState(5, 2, (2, 5)), DPState(5, 2, (3, 5))]
     ranking = inst.rankings[agent]
     for pred in preds:
-        assert table[pred].utility == 8
-        taken = {item for item, _ in replay_state(inst, table, pred)}
+        assert entries[pred].utility == 8
+        taken = {item for item, _ in replay_state(inst, entries, pred)}
         # q = 0: agent 2 takes its top remaining item, its 5th
         assert ranking.index(next(item for item in ranking if item not in taken)) + 1 == 5
-    assert table[state] == sm.DPEntry(Fraction(8), preds[0], 0)
+    assert entries[state] == Entry(Fraction(8), preds[0], 0)
 
 
 class _CountingTuple(tuple):
@@ -418,10 +450,12 @@ def test_state_budget_counts_stored_states(monkeypatch, ex1):
         for budget in range(1, len(table)):
             with pytest.raises(sm.BudgetExceeded, match=f"more than {budget} states"):
                 best_response_with_table(inst, budget=budget)
-        assert best_response_with_table(inst, budget=len(table)) == (solution, table)
+        solved, again = best_response_with_table(inst, budget=len(table))
+        assert solved == solution and again.packed == table.packed
     inst = sm.generate_random_instance(3, 12, seed=5)
     solution, table = best_response_with_table(inst)
-    assert best_response_with_table(inst, budget=len(table)) == (solution, table)
+    solved, again = best_response_with_table(inst, budget=len(table))
+    assert solved == solution and again.packed == table.packed
     with pytest.raises(sm.BudgetExceeded, match=f"more than {len(table) - 1} states"):
         best_response_with_table(inst, budget=len(table) - 1)
     monkeypatch.setenv("SEQMANIP_BUDGET", str(len(table) - 1))
@@ -430,20 +464,14 @@ def test_state_budget_counts_stored_states(monkeypatch, ex1):
     assert best_response_with_table(inst, budget=len(table))[0] == solution
 
 
-def test_table_is_a_read_only_mapping_that_decodes_on_access(ex1):
+def test_the_table_is_its_packed_stages_and_decodes_only_stored_states(ex1):
     table = best_response_with_table(ex1)[1]
-    assert isinstance(table, Mapping)
-    state = DPState(3, 1, (4, 1))
-    entry = table[state]
-    assert entry == sm.DPEntry(Fraction(4), DPState(2, 0, (1, 1)), 1)
-    assert table == dict(table.items())
-    with pytest.raises(TypeError):
-        table[state] = entry  # type: ignore[index]
-    with pytest.raises(TypeError):
-        del table[state]  # type: ignore[attr-defined]
-    assert table[state] == entry
+    assert not isinstance(table, Mapping)
+    assert len(table) == sum(map(len, table.packed)) == 9
+    entries = decode_table(ex1, table)
+    assert entries[DPState(3, 1, (4, 1))] == Entry(Fraction(4), DPState(2, 0, (1, 1)), 1)
     # m = 5, so a field is 3 bits wide: (8, 2) would alias the stored (1, 1, (0, 2)).
-    assert DPState(1, 1, (0, 2)) in table
+    assert DPState(1, 1, (0, 2)) in entries
     for missing in [
         DPState(1, 1, (0, 1)),
         DPState(1, 0, (8, 2)),
@@ -456,11 +484,9 @@ def test_table_is_a_read_only_mapping_that_decodes_on_access(ex1):
         (1, 0),
         None,
     ]:
-        assert missing not in table
+        assert missing not in entries
         with pytest.raises(KeyError):
-            table[missing]
-        with pytest.raises(KeyError):
-            replay_state(ex1, table, missing)
+            replay_state(ex1, entries, missing)
 
 
 def test_a_stored_state_costs_at_most_16_bytes():
@@ -479,38 +505,69 @@ def test_a_stored_state_costs_at_most_16_bytes():
         assert retained / len(table) <= 16, (n, m, retained / len(table))
 
 
-def test_items_and_values_decode_each_state_once(monkeypatch):
+def test_a_pass_over_the_stages_holds_about_two_stages():
+    # 50,577 stored states, at most 1,128 in one stage.  A pass that kept
+    # every stage's keys and weights until its end peaked at 4.0 MB here.
+    inst = sm.generate_random_instance(3, 150, 1)
+    table = best_response_with_table(inst)[1]
+    assert len(table) == 50577 and max(map(len, table.packed)) == 1128
+    tracemalloc.start()
+    try:
+        for _stage in table._stages():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+
+
+def test_a_solve_builds_once_and_each_pass_over_the_stages_rebuilds_once(monkeypatch, ex1):
+    builds, grows = [], []
+    build, grow = dp._build, dp._grow
+
+    def counted_build(inst, budget):
+        builds.append(inst)
+        return build(inst, budget)
+
+    def counted_grow(table):
+        grows.append(table)
+        return grow(table)
+
+    monkeypatch.setattr(dp, "_build", counted_build)
+    monkeypatch.setattr(dp, "_grow", counted_grow)
+    table = best_response_with_table(ex1)[1]
+    assert (len(builds), len(grows)) == (1, 1)
+    for passes in (1, 2):
+        assert len(list(table._stages())) == len(table.packed)
+        assert (len(builds), len(grows)) == (1, 1 + passes)
+    assert grows == [table] * 3
+
+
+def _stages_before_the_error(table) -> int:
+    """How many stages ``table._stages()`` yields before it raises."""
+    yielded = 0
+    with pytest.raises(RuntimeError, match="^internal error: the dynamic program's rebuild stored a different table$"):
+        for _stage in table._stages():
+            yielded += 1
+    return yielded
+
+
+def test_a_tampered_stage_stops_the_pass_before_it_is_yielded():
     inst = sm.generate_random_instance(3, 12, seed=4)
     table = best_response_with_table(inst)[1]
-    pairs = [(state, table[state]) for state in table]
-
-    def no_lookup(self, state):
-        raise AssertionError("items() and values() walk the stages; they look nothing up")
-
-    monkeypatch.setattr(dp.DPTable, "__getitem__", no_lookup)
-    assert list(table.items()) == pairs
-    assert list(table.values()) == [entry for _, entry in pairs]
-    assert len(table.items()) == len(table.values()) == len(table)
+    stages = len(table.packed)
+    for x in range(stages):
+        table.packed[x][-1] ^= 1
+        assert _stages_before_the_error(table) == x
+        table.packed[x][-1] ^= 1
+    assert len(list(table._stages())) == stages
 
 
-def test_a_solve_builds_once_and_the_view_rebuilds_once_on_first_read(monkeypatch, ex1):
-    builds = []
-    build = dp._build
-
-    def counted(inst, budget, keep=False):
-        builds.append(keep)
-        return build(inst, budget, keep)
-
-    monkeypatch.setattr(dp, "_build", counted)
-    table = best_response_with_table(ex1)[1]
-    assert len(table) == sum(map(len, table.packed)) > 1
-    assert builds == [False]
-    base = DPState(0, 0, (0, 0))
-    assert table[base] == sm.DPEntry(Fraction(0), None, 0)
-    assert len(list(table.items())) == len(table)
-    assert replay_state(ex1, table, DPState(1, 0, (0, 1))) == (("e", 3),)
-    assert builds == [False, True]
-    _solution, broken = best_response_with_table(ex1)
-    broken.packed[-1][0] ^= 1
-    with pytest.raises(RuntimeError, match="^internal error: "):
-        broken[base]
+def test_an_extra_or_a_missing_stored_stage_stops_the_pass():
+    inst = sm.generate_random_instance(3, 12, seed=4)
+    table = best_response_with_table(inst)[1]
+    stages = len(table.packed)
+    table.packed.append(array("Q"))
+    assert _stages_before_the_error(table) == stages
+    del table.packed[-2:]
+    assert _stages_before_the_error(table) == stages - 1

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import seqmanip as sm
 from seqmanip import dp
 from seqmanip.oracle import choice_tree_best
-from _util import crucial_by_choice_tree, mixed_denominator_instance
+from _util import crucial_by_choice_tree, decode_table, mixed_denominator_instance
 from paper_lemmas import replay_state
 
 MIXED_POOL = [(n, m, seed) for n in (2, 3) for m in range(1, 8) for seed in range(12)]
@@ -56,9 +56,10 @@ def test_mixed_denominators_three_way_agreement(n, m, seed):
     for result in (solution, tree, dominated):
         assert type(result.utility) is Fraction
         assert type(result.bundle.total_utility) is Fraction
-    for state, entry in table.items():
+    entries = decode_table(inst, table)
+    for state, entry in entries.items():
         assert type(entry.utility) is Fraction
-        trace = replay_state(inst, table, state)
+        trace = replay_state(inst, entries, state)
         assert entry.utility == sum(
             (inst.utility[item] for item, agent in trace if agent == sm.MANIPULATOR), Fraction(0)
         )
@@ -142,7 +143,8 @@ def test_dp_build_does_no_fraction_arithmetic(monkeypatch):
 
 def test_dp_build_makes_a_state_only_for_stored_states(monkeypatch):
     """Candidates and stored states are int keys; the build makes no
-    ``DPState`` at all, and the table decodes one only when it is read."""
+    ``DPState`` at all, and a pass over the stages decodes one per stored
+    state."""
     base = sm.generate_random_instance(2, 60, seed=4)
     inst = base.with_policy([1 + t % 2 for t in range(60)])
     made = 0
@@ -157,7 +159,7 @@ def test_dp_build_makes_a_state_only_for_stored_states(monkeypatch):
     table = dp._build(inst, 10**7)[0]
     assert len(table) > 400
     assert made == 0, made
-    assert len(list(table)) == made == len(table)
+    assert sum(len(states) for states, _weights, _packed in table._stages()) == made == len(table)
 
 
 def test_choice_tree_fraction_ops_do_not_grow_with_nodes(monkeypatch):

@@ -87,6 +87,20 @@ def test_empty_instance_is_valid():
             "rankings.01",
             id="duplicate-agent-key",
         ),
+        # a key for agent 2 in any form but the one serialize_instance writes
+        *[
+            pytest.param(
+                lambda d, key=key: d["rankings"].__setitem__(key, d["rankings"].pop("2")), f"rankings.{key}", id=name
+            )
+            for key, name in [
+                (" 2", "agent-key-leading-space"),
+                ("2 ", "agent-key-trailing-space"),
+                ("+2", "agent-key-sign"),
+                ("0_2", "agent-key-underscore"),
+                ("02", "agent-key-leading-zero"),
+                ("\u0662", "agent-key-arabic-indic-digit"),
+            ]
+        ],
         pytest.param(lambda d: d["utilities"].__setitem__("e", 0.3), "utilities.e", id="float-utility"),
         pytest.param(lambda d: d["utilities"].__setitem__("e", "0.3"), "utilities.e", id="decimal-utility"),
         pytest.param(lambda d: d["utilities"].__setitem__("a", "1e100000"), "utilities.a", id="exponent-utility"),

@@ -35,7 +35,7 @@ HOME = {
     ],
     "greedy": ["greedy_alg"],
     "oracle": ["choice_tree_best", "dominated_greedy_best", "is_crucial"],
-    "dp": ["DPState", "DPEntry", "best_response_with_table"],
+    "dp": ["DPState", "best_response_with_table"],
     "responses": [
         "truthful_response",
         "ApproximationReport",
